@@ -2,12 +2,14 @@
 
 Usage, from the root of the repository::
 
-    python3 perfbench/run.py --workload paper|ingest|serve|oneshot \
+    python3 perfbench/run.py --workload paper|oneshot \
         [--seed N] [--scenario-seed N] [--seconds S] [--trace 0|1]
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
-metrics of an extra traced pass.  The last line of standard output is one
-JSON object: ``{"correct", "attempted", "failed", "metrics"}``.  The line
+metrics of an extra traced pass, whose spans are written to
+``.perfbench_spans/<workload>-seed<seed>.jsonl``.  The last line of
+standard output is one JSON object:
+``{"correct", "attempted", "failed", "metrics"}``.  The line
 before it, starting ``record``, holds the full record (host fingerprint,
 git commit, seeds, every named metric), which ``compare.py`` reads.
 Scratch data lives in a temporary directory under the
@@ -17,6 +19,7 @@ repository root that is removed on exit.  See ``perfbench/README.md``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import os
@@ -38,6 +41,8 @@ DEFAULT_SCENARIO_SEED = 20200316
 #: Set-up is repeated this many times per run and the median reported.
 SETUP_REPEATS = 3
 SCRATCH = ".perfbench_tmp"
+#: Where a traced run leaves its spans, one JSON object per line.
+SPANS_DIR = ".perfbench_spans"
 #: The end-to-end metrics and their units (definitions in the README).
 END_TO_END = {
     "setup_s": "s",
@@ -51,7 +56,8 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SCENARIO_SEED,
-                        help="request-stream seed (serve, oneshot)")
+                        help="request-stream seed: the oneshot query "
+                             "rotation and windows")
     parser.add_argument("--scenario-seed", type=int,
                         default=DEFAULT_SCENARIO_SEED,
                         help="seed of the synthetic world every workload "
@@ -105,6 +111,14 @@ def _per_layer(untraced, traced, tracer) -> dict:
     return out
 
 
+def _write_spans(tracer, path: Path) -> None:
+    """One JSON object per span: name, start, end, parent, op, attrs."""
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "w") as handle:
+        for span in sorted(tracer.spans, key=lambda s: s.start):
+            handle.write(json.dumps(dataclasses.asdict(span)) + "\n")
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
@@ -115,6 +129,7 @@ def main(argv=None) -> int:
     scratch_root = ROOT / SCRATCH
     scratch_root.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix="run-", dir=scratch_root))
+    spans_file = None
     # Experiments seal temporary stores through tempfile: keep them here.
     tempfile.tempdir = str(workdir)
     os.environ["TMPDIR"] = str(workdir)
@@ -130,6 +145,9 @@ def main(argv=None) -> int:
             traced = workload.measure(args.seconds, tracer)
             passes.append(traced)
             metrics = _per_layer(untraced, traced, tracer)
+            spans_file = (ROOT / SPANS_DIR /
+                          f"{args.workload}-seed{args.seed}.jsonl")
+            _write_spans(tracer, spans_file)
         else:
             metrics = _end_to_end(workload, setup_s, untraced)
     finally:
@@ -151,6 +169,8 @@ def main(argv=None) -> int:
         print(f"{name:44s} {value:14.6g} {unit}")
     print(f"{'operations timed':44s} {len(untraced.latencies):>8d}")
     print(f"{'failed / attempted':44s} {failed:>8d} / {attempted}")
+    if spans_file is not None:
+        print(f"{'spans written to':44s} {spans_file.relative_to(ROOT)}")
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -163,6 +183,8 @@ def main(argv=None) -> int:
         "attempted": attempted,
         "failed": failed,
         "samples": len(untraced.latencies),
+        "spans_file": (str(spans_file.relative_to(ROOT))
+                       if spans_file is not None else None),
         "named": {k: {"value": v, "unit": u} for k, (v, u) in named.items()},
     }
     print("record " + json.dumps(record, sort_keys=True))

@@ -3,8 +3,8 @@
 Nothing here lives inside ``src/``: :func:`instrument` swaps each named
 public function of the program for a timing wrapper for the length of a
 ``with`` block and puts the originals back on exit.  Spans stay in memory
-(:class:`Tracer`) and are turned into per-layer metrics when the run ends
-(:func:`layer_metrics`).
+(:class:`Tracer`) until the run ends; then they are turned into per-layer
+metrics (:func:`layer_metrics`) and written out by the runner.
 
 A span records its name, start, end, parent and the operation id shared by
 every span of one benchmark operation.  The current span travels in a

@@ -7,6 +7,8 @@ Run from the repository root::
 
 import datetime as dt
 import json
+import subprocess
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -95,33 +97,34 @@ def test_tracer_nests_spans_and_shares_the_operation_id():
 # -- request streams ----------------------------------------------------------
 
 
-def _describe(stream):
-    return [(kind, spec.fingerprint()) for kind, spec in stream]
-
-
-def test_request_stream_is_a_function_of_the_seed():
-    assert _describe(workloads.request_stream(11, 90)) == \
-        _describe(workloads.request_stream(11, 90))
-    assert _describe(workloads.request_stream(11, 90)) != \
-        _describe(workloads.request_stream(12, 90))
-
-
-def test_request_stream_offers_the_same_mix_for_every_seed():
-    block = sum(count for _, count in workloads.SERVE_BLOCK)
-    for seed in (1, 2, 3):
-        stream = workloads.request_stream(seed, 3 * block)
-        kinds = [kind for kind, _ in stream]
-        for kind, count in workloads.SERVE_BLOCK:
-            assert kinds.count(kind) == 3 * count
-        # Every request is its own spec object.
-        assert len({id(spec) for _, spec in stream}) == len(stream)
-
-
 def test_oneshot_queries_are_a_function_of_the_seed():
     first = workloads.oneshot_queries(5, 9)
     assert first == workloads.oneshot_queries(5, 9)
+    assert first != workloads.oneshot_queries(6, 9)
     kinds = [kind for kind, _, _ in first]
     assert sorted(set(kinds)) == sorted(workloads.ONESHOT_SHAPES)
+
+
+def test_oneshot_counts_a_hung_or_garbled_child_as_a_failure(
+        tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(command, **kwargs):
+        calls.append(command)
+        time.sleep(0.01)
+        if len(calls) % 2:
+            raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+        return subprocess.CompletedProcess(command, 0, "Traceback", "")
+
+    monkeypatch.setattr(workloads.subprocess, "run", fake_run)
+    workload = workloads.OneshotWorkload(1, 1, tmp_path, ROOT)
+    workload.store = tmp_path / "store"
+    result = workload.measure(0.1)
+    assert result.ops == len(calls) >= 2
+    assert result.failed == result.attempted == result.ops
+    assert len(result.latencies) == result.ops
+    assert any("no answer within" in note for note in result.notes)
+    assert any("not JSON" in note for note in result.notes)
 
 
 # -- wrappers -----------------------------------------------------------------
@@ -201,6 +204,22 @@ def test_traced_query_links_pool_scans_to_their_plan(tmp_path):
     assert 0.0 <= metrics["query.engine.merge.self_s"] <= plan.duration
 
 
+def test_traced_spans_are_written_out(tmp_path):
+    tracer = spans.Tracer()
+    with tracer.span("op", op=3):
+        with tracer.span("inner") as inner:
+            inner.attrs["rows"] = 5.0
+    path = tmp_path / "spans" / "paper-seed1.jsonl"
+    run._write_spans(tracer, path)
+    written = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [s["name"] for s in written] == ["op", "inner"]
+    assert written[1]["parent"] == written[0]["id"]
+    assert all(s["op"] == 3 for s in written)
+    assert written[1]["attrs"] == {"rows": 5.0}
+    for span in written:
+        assert span["start"] <= span["end"]
+
+
 # -- the benchmark definition -------------------------------------------------
 
 
@@ -215,7 +234,7 @@ def test_benchmark_json_names_every_emitted_metric():
     expected.update({f"experiments.{i}.busy_s": "s" for i in REGISTRY})
     assert {m["name"]: m["unit"] for m in definition["per_layer"]} == expected
     assert {w["name"] for w in definition["workloads"]} == \
-        set(workloads.WORKLOADS) - {"ingest", "serve"}
+        set(workloads.WORKLOADS)
 
 
 def test_runner_refuses_a_tree_without_the_program(tmp_path, monkeypatch,

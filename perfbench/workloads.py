@@ -1,10 +1,10 @@
-"""The benchmark's four workloads.
+"""The benchmark's workloads: ``paper`` and ``oneshot``.
 
 Each workload builds its inputs in :meth:`Workload.build` (timed as set-up,
 repeated by the runner) and measures in :meth:`Workload.measure`, which
 returns a :class:`Pass`: operations, failures counted against attempts,
 per-operation latencies, throughput, and the workload's own named metrics.
-Outputs are checked inside ``measure`` but outside every timed window.
+Outputs are checked inside ``measure``, outside the timed operations.
 
 ``repro`` is imported only inside methods: the runner times the import
 itself as part of set-up.
@@ -16,15 +16,12 @@ import dataclasses
 import datetime as _dt
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import shutil
 import subprocess
 import sys
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -37,42 +34,10 @@ STUDY_DAYS = (STUDY_END - STUDY_START).days + 1
 #: Flow sampling fidelity of every store the benchmark seals.
 STORE_FIDELITY = 0.3
 
-SERVE_VANTAGES = ("edu", "isp-ce", "ixp-ce")
-#: ``repro serve`` defaults.
-SERVE_WORKERS = 4
-SERVE_QUEUE = 64
-SERVE_CACHE = 128
-#: Phase A's open-loop arrival rate, in requests per second.  Fixed here,
-#: never calibrated at run time, so that two commits are measured at the
-#: same load.  It is about half the closed-loop capacity the seed commit
-#: reached on a 2-core host (``serve.qps`` ~49 q/s).
-SERVE_RATE_QPS = 15.0
-#: Share of ``--seconds`` spent in Phase A (open loop); the rest is
-#: Phase B (closed loop, one client thread per core).
-SERVE_PHASE_A_SHARE = 2.0 / 3.0
-#: Phase A serves at least this many requests, so that ten samples lie
-#: beyond its p95.
-SERVE_MIN_REQUESTS = 200
-#: Latency charged to a shed, timed-out or failed request: the service's
-#: default deadline, beyond any latency limit a user would set.
-FAILED_LATENCY_S = 30.0
-
-#: One block of the serve request stream: kind -> requests per block.
-#: Every block holds these exact counts, so every seed offers the same mix.
-SERVE_BLOCK = (
-    ("panel", 13), ("narrow", 13), ("filtered", 7), ("hourly", 4),
-    ("wide", 2), ("full", 1),
-)
-#: Block slots of the expensive kinds.  Evenly spaced and the same for
-#: every seed: with them in seeded order, runs that happened to draw a
-#: burst of expensive queries queued and read several times the latency
-#: of the others.  The seed orders the remaining slots.
-SERVE_HEAVY_SLOTS = {0: "wide", 13: "full", 26: "wide"}
-PANEL_WEEKS = (
-    _dt.date(2020, 2, 19), _dt.date(2020, 3, 25), _dt.date(2020, 4, 22),
-)
 ONESHOT_VANTAGE = "isp-ce"
 ONESHOT_SHAPES = ("narrow", "filtered", "full")
+#: A fresh-process query still running after this long counts as failed.
+ONESHOT_TIMEOUT_S = 60.0
 
 _CHILD = (
     "import sys\n"
@@ -102,11 +67,10 @@ class Pass:
     ops: int = 0
     attempted: int = 0
     failed: int = 0
-    #: Seconds per operation (per request for ``serve`` Phase A).
+    #: Seconds per operation.
     latencies: List[float] = dataclasses.field(default_factory=list)
-    #: Work items per second (experiments, rows or queries).  A closed
-    #: loop with one caller reports items per operation over the median
-    #: operation time, which a single slow operation does not move.
+    #: Work items (experiments or queries) completed per second of the
+    #: pass's wall time, which includes the work between operations.
     throughput: float = 0.0
     #: The workload's own metrics: name -> (value, unit).
     named: Dict[str, Tuple[float, str]] = dataclasses.field(
@@ -127,8 +91,8 @@ def _instrumented(tracer: Optional[spans.Tracer]):
     return spans.instrument(tracer) if tracer is not None else nullcontext()
 
 
-def _op_span(tracer: Optional[spans.Tracer], op: int, name: str = "op"):
-    return tracer.span(name, op=op) if tracer is not None else nullcontext()
+def _op_span(tracer: Optional[spans.Tracer], op: int):
+    return tracer.span("op", op=op) if tracer is not None else nullcontext()
 
 
 class _Budget:
@@ -146,6 +110,9 @@ class _Budget:
         if previous is None:
             return True
         return now - self.start + (now - previous) <= self.seconds
+
+    def elapsed(self) -> float:
+        return time.perf_counter() - self.start
 
 
 def _queue_wait(stages: List[Dict[str, float]]) -> Dict[str, float]:
@@ -176,7 +143,6 @@ class Workload:
         self.scenario_seed = scenario_seed
         self.workdir = workdir
         self.root = root
-        self._dirs = 0
 
     def build(self) -> None:
         """Build the inputs; called several times, the last build is used."""
@@ -191,26 +157,6 @@ class Workload:
     def peak_rss_mb(self) -> float:
         return harness.peak_rss_mb()
 
-    def _fresh_dir(self, prefix: str) -> Path:
-        """A new directory under the work dir, removing the previous one."""
-        old = self.workdir / f"{prefix}-{self._dirs}"
-        if old.exists():
-            shutil.rmtree(old)
-        self._dirs += 1
-        path = self.workdir / f"{prefix}-{self._dirs}"
-        path.mkdir(parents=True)
-        return path
-
-    def _seal(self, directory: Path, vantage: str) -> Tuple[Path, object]:
-        """Generate ``vantage``'s flows over the study window into a store."""
-        from repro.flows.store import FlowStore
-
-        table = self.scenario.vantage(vantage).generate_flows(
-            STUDY_START, STUDY_END, fidelity=STORE_FIDELITY
-        )
-        path = directory / vantage
-        FlowStore(path).write_range(table, STUDY_START, STUDY_END)
-        return path, table
 
 
 # -- paper --------------------------------------------------------------------
@@ -245,9 +191,7 @@ class PaperWorkload(Workload):
                 result.ops += 1
                 experiments += len(outcomes)
                 self._check(outcomes, result)
-        result.throughput = (
-            experiments / result.ops / harness.median(result.latencies)
-        )
+        result.throughput = experiments / budget.elapsed()
         result.named["paper.sweep_s"] = (
             harness.median(result.latencies), "s"
         )
@@ -266,356 +210,6 @@ class PaperWorkload(Workload):
             elif digest != expected:
                 result.fail(f"{outcome.experiment_id}: metrics differ "
                             f"from the first sweep")
-
-
-# -- ingest -------------------------------------------------------------------
-
-
-class IngestWorkload(Workload):
-    """One operation generates and seals every vantage's study window."""
-
-    name = "ingest"
-    modules = ("repro.flows.store", "repro.synth.scenario")
-
-    def __init__(self, *args: object, **kwargs: object):
-        super().__init__(*args, **kwargs)
-        self._tokens: Dict[str, str] = {}
-
-    def measure(self, seconds: float,
-                tracer: Optional[spans.Tracer] = None) -> Pass:
-        from repro.flows.store import FlowStore
-
-        result = Pass()
-        vantages = sorted(self.scenario.vantages)
-        rows = disk = 0
-        with _instrumented(tracer):
-            budget = _Budget(seconds)
-            while budget.more():
-                directory = self._fresh_dir("ingest")
-                op_s = 0.0
-                with _op_span(tracer, result.ops):
-                    for vantage in vantages:
-                        t0 = time.perf_counter()
-                        path, table = self._seal(directory, vantage)
-                        op_s += time.perf_counter() - t0
-                        result.attempted += 1
-                        reopened = FlowStore(path)
-                        expected = self._tokens.setdefault(
-                            vantage, reopened.state_token()
-                        )
-                        if reopened.total_flows() != len(table) or \
-                                reopened.total_bytes() != \
-                                int(table.total_bytes()) or \
-                                len(reopened) != STUDY_DAYS:
-                            result.fail(f"{vantage}: reopened totals differ "
-                                        f"from the generated table")
-                        elif reopened.state_token() != expected:
-                            result.fail(f"{vantage}: state token differs "
-                                        f"from the first seal")
-                        rows += len(table)
-                        disk += harness.tree_bytes(path)
-                result.latencies.append(op_s)
-                result.ops += 1
-        shutil.rmtree(directory)
-        result.throughput = rows / result.ops / harness.median(
-            result.latencies
-        )
-        result.named["ingest.rows_per_s"] = (result.throughput, "rows/s")
-        result.named["ingest.bytes_per_row"] = (disk / rows, "B/row")
-        return result
-
-
-# -- serve --------------------------------------------------------------------
-
-
-def panel_specs() -> list:
-    """The 20 dashboard panels, most popular first (fixed, seed-free).
-
-    The month- and fortnight-long panels rank first.  The cache evicts the
-    rarely drawn tail between draws, and a tail miss must stay cheap:
-    with expensive panels in the tail, the number of their misses a seed
-    happened to draw moved a run's throughput by a fifth.
-    """
-    from repro.query import QuerySpec
-
-    heavy, light = [], []
-    for vantage in SERVE_VANTAGES:
-        heavy.append(QuerySpec.build(
-            vantage, "2020-03-15", "2020-04-14", group_by=["transport"],
-        ))
-        heavy.append(QuerySpec.build(
-            vantage, "2020-02-26", "2020-03-10", group_by=["transport"],
-            aggregates=["bytes", "flows", "distinct_dst_ips"],
-        ))
-        for week in PANEL_WEEKS:
-            light.append(QuerySpec.build(
-                vantage, week, week + _days(6), bucket="hour",
-            ))
-    heavy.append(QuerySpec.build(
-        "ixp-ce", "2020-03-15", "2020-04-14", where={"proto": 17},
-        group_by=["service_port"],
-    ))
-    light.append(QuerySpec.build(
-        "isp-ce", STUDY_START, STUDY_END, bucket="day",
-    ))
-    return heavy + light
-
-
-def _adhoc_spec(kind: str, vantage: str, rng: random.Random):
-    from repro.query import QuerySpec
-
-    if kind == "wide":
-        start = STUDY_START + _days(rng.randrange(STUDY_DAYS - 13))
-        return QuerySpec.build(
-            vantage, start, start + _days(13), group_by=["transport"],
-            aggregates=["bytes", "flows", "distinct_dst_ips"],
-        )
-    if kind == "full":
-        return QuerySpec.build(
-            vantage, STUDY_START + _days(rng.randrange(7)), STUDY_END,
-            group_by=[rng.choice(("transport", "proto"))], bucket="day",
-        )
-    start = STUDY_START + _days(rng.randrange(STUDY_DAYS - 6))
-    end = start + _days(6)
-    if kind == "narrow":
-        return QuerySpec.build(vantage, start, end, group_by=["proto"])
-    if kind == "filtered":
-        return QuerySpec.build(
-            vantage, start, end, where={"proto": 17},
-            group_by=["service_port"],
-        )
-    if kind == "hourly":
-        return QuerySpec.build(vantage, start, end, bucket="hour")
-    raise ValueError(f"unknown request kind {kind!r}")
-
-
-def request_stream(seed: int, n: int) -> List[Tuple[str, object]]:
-    """``n`` ``(kind, QuerySpec)`` requests, a pure function of ``seed``.
-
-    Panels are drawn Zipf-style from :func:`panel_specs`; ad-hoc windows
-    rotate over the whole study window, and each ad-hoc kind cycles through
-    the vantages from a seeded start.  Every request is its own spec
-    object, so a traced run can follow each one into the service.
-    """
-    rng = random.Random(seed)
-    panels = panel_specs()
-    weights = [1.0 / (rank + 1) for rank in range(len(panels))]
-    light = [kind for kind, count in SERVE_BLOCK for _ in range(count)]
-    for kind in SERVE_HEAVY_SLOTS.values():
-        light.remove(kind)
-    size = len(light) + len(SERVE_HEAVY_SLOTS)
-    turn = {kind: rng.randrange(len(SERVE_VANTAGES))
-            for kind, _ in SERVE_BLOCK}
-    stream: List[Tuple[str, object]] = []
-    while len(stream) < n:
-        rng.shuffle(light)
-        rest = iter(light)
-        for slot in range(size):
-            kind = SERVE_HEAVY_SLOTS.get(slot) or next(rest)
-            if kind == "panel":
-                spec = dataclasses.replace(rng.choices(panels, weights)[0])
-            else:
-                vantage = SERVE_VANTAGES[turn[kind] % len(SERVE_VANTAGES)]
-                turn[kind] += 1
-                spec = _adhoc_spec(kind, vantage, rng)
-            stream.append((kind, spec))
-    return stream[:n]
-
-
-class ServeWorkload(Workload):
-    """The read path through ``QueryService`` at the ``repro serve``
-    defaults: Phase A open loop at a fixed rate, Phase B closed loop."""
-
-    name = "serve"
-    modules = ("repro.flows.store", "repro.query", "repro.synth.scenario")
-
-    def build(self) -> None:
-        super().build()
-        directory = self._fresh_dir("serve")
-        self.stores = {
-            vantage: self._seal(directory, vantage)[0]
-            for vantage in SERVE_VANTAGES
-        }
-
-    def measure(self, seconds: float,
-                tracer: Optional[spans.Tracer] = None) -> Pass:
-        from repro.query import QueryService
-
-        n_a = max(SERVE_MIN_REQUESTS,
-                  round(SERVE_RATE_QPS * seconds * SERVE_PHASE_A_SHARE))
-        phase_b_s = seconds * (1.0 - SERVE_PHASE_A_SHARE)
-        stream = request_stream(self.seed, n_a + int(phase_b_s * 400) + 100)
-        result = Pass()
-        served: List[Tuple[object, object]] = []
-        service = QueryService(
-            {vantage: str(path) for vantage, path in self.stores.items()},
-            workers=SERVE_WORKERS, queue_capacity=SERVE_QUEUE,
-            cache_entries=SERVE_CACHE, scan_procs=0,
-        )
-        try:
-            # A long-running server has its dashboard panels cached.
-            for spec in panel_specs():
-                service.run(spec)
-            warm = dataclasses.replace(service.stats)
-            with _instrumented(tracer):
-                late = self._phase_a(service, stream[:n_a], result, served,
-                                     tracer)
-                qps = self._phase_b(service, stream[n_a:], phase_b_s,
-                                    result, served, tracer)
-        finally:
-            service.close()
-        stats = service.stats
-        self._check(served, result)
-        lat = result.latencies
-        result.throughput = qps
-        hits = stats.cache_hits - warm.cache_hits
-        lookups = hits + stats.cache_misses - warm.cache_misses
-        result.named.update({
-            "serve.p50_ms": (harness.median(lat) * 1e3, "ms"),
-            "serve.p95_ms": (harness.percentile(lat, 95) * 1e3, "ms"),
-            "serve.qps": (qps, "q/s"),
-            "serve.generator_late_ms.max": (max(late) * 1e3, "ms"),
-            "query.service.cache_hit_ratio": (hits / lookups, "ratio"),
-            "query.service.shed": (float(stats.rejected), "count"),
-        })
-        result.layer.update(_queue_wait([r.stages for _, r in served]))
-        return result
-
-    def _phase_a(self, service, requests, result: Pass, served: list,
-                 tracer: Optional[spans.Tracer]) -> List[float]:
-        """Open loop: one generator sends at SERVE_RATE_QPS; each request
-        is timed from its scheduled send time.  Returns generator lateness."""
-        from repro.query import QueryError
-
-        latencies: List[Optional[float]] = [None] * len(requests)
-        late: List[float] = []
-        lock = threading.Lock()
-
-        def wait(i: int, due: float, ticket) -> None:
-            try:
-                outcome = ticket.result()
-            except QueryError as exc:
-                latencies[i] = FAILED_LATENCY_S
-                with lock:
-                    result.fail(f"request {i}: {type(exc).__name__}: {exc}")
-            else:
-                latencies[i] = time.perf_counter() - due
-                with lock:
-                    served.append((ticket.spec, outcome))
-
-        waiters = ThreadPoolExecutor(
-            max_workers=SERVE_QUEUE + SERVE_WORKERS,
-            thread_name_prefix="perfbench-wait",
-        )
-        pending = []
-        try:
-            t0 = time.perf_counter() + 0.05
-            for i, (_, spec) in enumerate(requests):
-                due = t0 + i / SERVE_RATE_QPS
-                delay = due - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                late.append(max(0.0, time.perf_counter() - due))
-                result.attempted += 1
-                try:
-                    with _op_span(tracer, i, "serve.submit"):
-                        ticket = service.submit(spec)
-                except QueryError as exc:
-                    latencies[i] = FAILED_LATENCY_S
-                    with lock:
-                        result.fail(f"request {i}: shed: {exc}")
-                    continue
-                pending.append(waiters.submit(wait, i, due, ticket))
-            for future in pending:
-                future.result()
-        finally:
-            waiters.shutdown(wait=True)
-        result.ops += len(requests)
-        result.latencies.extend(latencies)
-        return late
-
-    def _phase_b(self, service, requests, duration: float, result: Pass,
-                 served: list, tracer: Optional[spans.Tracer]) -> float:
-        """Closed loop: one client thread per core until ``duration``
-        elapses.  Returns completed queries per second."""
-        from repro.query import QueryError
-
-        lock = threading.Lock()
-        cursor = iter(enumerate(requests, start=result.ops))
-        completed = 0
-        start = time.perf_counter()
-        stop_at = start + duration
-
-        def client() -> None:
-            nonlocal completed
-            while True:
-                with lock:
-                    item = next(cursor, None)
-                if item is None or time.perf_counter() >= stop_at:
-                    return
-                op, (_, spec) = item
-                try:
-                    with _op_span(tracer, op, "serve.submit"):
-                        ticket = service.submit(spec)
-                    outcome = ticket.result()
-                except QueryError as exc:
-                    with lock:
-                        result.attempted += 1
-                        result.fail(f"request {op}: {type(exc).__name__}: "
-                                    f"{exc}")
-                    continue
-                with lock:
-                    result.attempted += 1
-                    completed += 1
-                    served.append((spec, outcome))
-
-        clients = [
-            threading.Thread(target=client, name=f"perfbench-client-{i}")
-            for i in range(os.cpu_count() or 1)
-        ]
-        for thread in clients:
-            thread.start()
-        for thread in clients:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        result.ops += completed
-        return completed / elapsed
-
-    def _check(self, served: list, result: Pass) -> None:
-        """Every served row list must equal a serial ``execute_query``.
-
-        The references are computed in one process per core, each running
-        its share of the distinct queries serially.
-        """
-        specs = list({spec.fingerprint(): spec for spec, _ in served}.values())
-        width = min(os.cpu_count() or 1, len(specs)) or 1
-        shares = [specs[i::width] for i in range(width)]
-        stores = {v: str(path) for v, path in self.stores.items()}
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(width, mp_context=context) as pool:
-            digests = pool.map(_reference_digests, [stores] * width, shares)
-            reference = {
-                spec.fingerprint(): digest
-                for share, share_digests in zip(shares, digests)
-                for spec, digest in zip(share, share_digests)
-            }
-        for spec, outcome in served:
-            if harness.digest_rows(outcome.rows) != \
-                    reference[spec.fingerprint()]:
-                result.fail(f"{spec.describe()}: rows differ from the "
-                            f"serial reference")
-
-
-def _reference_digests(stores: Dict[str, str], specs: list) -> List[str]:
-    """Row digests of ``specs``, each run serially by ``execute_query``."""
-    from repro.flows.store import FlowStore
-    from repro.query import execute_query
-
-    opened = {vantage: FlowStore(path) for vantage, path in stores.items()}
-    return [
-        harness.digest_rows(execute_query(opened[spec.vantage], spec).rows)
-        for spec in specs
-    ]
 
 
 # -- oneshot ------------------------------------------------------------------
@@ -657,9 +251,17 @@ class OneshotWorkload(Workload):
     modules = ("repro.flows.store", "repro.query", "repro.synth.scenario")
 
     def build(self) -> None:
+        """Seal the vantage's study window into a new store, in place of
+        the previous build's."""
+        from repro.flows.store import FlowStore
+
         super().build()
-        directory = self._fresh_dir("oneshot")
-        self.store = self._seal(directory, ONESHOT_VANTAGE)[0]
+        self.store = self.workdir / "store" / ONESHOT_VANTAGE
+        shutil.rmtree(self.store.parent, ignore_errors=True)
+        table = self.scenario.vantage(ONESHOT_VANTAGE).generate_flows(
+            STUDY_START, STUDY_END, fidelity=STORE_FIDELITY
+        )
+        FlowStore(self.store).write_range(table, STUDY_START, STUDY_END)
 
     def peak_rss_mb(self) -> float:
         return harness.peak_rss_mb(children=True)
@@ -682,20 +284,32 @@ class OneshotWorkload(Workload):
             command += [_TRACED_CHILD, str(span_file)] if tracer else [_CHILD]
             command += [*args, "--store", str(self.store)]
             t0 = time.perf_counter()
-            done = subprocess.run(command, capture_output=True, text=True,
-                                  env=env, cwd=str(self.root), timeout=150)
-            result.latencies.append(time.perf_counter() - t0)
             result.ops += 1
             result.attempted += 1
+            try:
+                done = subprocess.run(
+                    command, capture_output=True, text=True, env=env,
+                    cwd=str(self.root), timeout=ONESHOT_TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired:
+                result.latencies.append(time.perf_counter() - t0)
+                result.fail(f"query {args}: no answer within "
+                            f"{ONESHOT_TIMEOUT_S:g} s")
+                continue
+            result.latencies.append(time.perf_counter() - t0)
             if done.returncode != 0:
                 result.fail(f"query {args}: exit {done.returncode}: "
                             f"{done.stderr.strip()[-300:]}")
                 continue
-            answers.append((build, json.loads(done.stdout)))
+            try:
+                answers.append((build, json.loads(done.stdout)))
+            except json.JSONDecodeError as exc:
+                result.fail(f"query {args}: --json output is not JSON: {exc}")
+                continue
             if tracer is not None:
                 import_s.append(self._absorb_spans(tracer, span_file, op))
+        result.throughput = result.ops / budget.elapsed()
         self._check(answers, result)
-        result.throughput = 1.0 / harness.median(result.latencies)
         result.named["oneshot.p50_s"] = (
             harness.median(result.latencies), "s"
         )
@@ -746,8 +360,5 @@ class OneshotWorkload(Workload):
 
 
 WORKLOADS = {
-    workload.name: workload
-    for workload in (
-        PaperWorkload, IngestWorkload, ServeWorkload, OneshotWorkload,
-    )
+    workload.name: workload for workload in (PaperWorkload, OneshotWorkload)
 }
