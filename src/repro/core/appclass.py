@@ -251,7 +251,24 @@ def class_activity(
     ``ip_side`` selects which endpoint approximates "households"
     (``dst`` for download-style classes where clients receive).
     """
-    selected = app_class.select(flows)
+    return selected_activity(
+        app_class.select(flows), start_day, end_day, ip_side
+    )
+
+
+def selected_activity(
+    selected: FlowTable,
+    start_day: _dt.date,
+    end_day: _dt.date,
+    ip_side: str = "dst",
+) -> ClassActivity:
+    """:func:`class_activity` of flows already selected for the class.
+
+    The ``selected_*`` helpers take the output of
+    :meth:`AppClass.select`, so a caller that needs several views of
+    one class selects it once and shares the table (and its memoized
+    hour index) between them.
+    """
     start = timebase.hour_index(start_day, 0)
     stop = timebase.hour_index(end_day, 23) + 1
     ips = selected.unique_ips_per_hour(start, stop, side=ip_side)
@@ -336,30 +353,40 @@ def class_heatmaps(
     if "base" not in weeks:
         raise ValueError("weeks must include a 'base' entry")
     classes = classes or standard_classes()
+    return {
+        name: selected_heatmap(classes[name].select(flows), name, weeks)
+        for name in sorted(classes)
+    }
+
+
+def selected_heatmap(
+    selected: FlowTable,
+    class_name: str,
+    weeks: Mapping[str, timebase.Week],
+) -> ClassHeatmap:
+    """One class's :func:`class_heatmaps` row from its selected flows."""
+    if "base" not in weeks:
+        raise ValueError("weeks must include a 'base' entry")
     kept = _kept_hour_indices()
-    heatmaps: Dict[str, ClassHeatmap] = {}
-    for name in sorted(classes):
-        selected = classes[name].select(flows)
-        raw = {
-            label: _week_kept_hours(selected, week, kept)
-            for label, week in weeks.items()
-        }
-        lo = min(float(v.min()) for v in raw.values())
-        hi = max(float(v.max()) for v in raw.values())
-        span = hi - lo if hi > lo else 1.0
-        norm = {label: (v - lo) / span for label, v in raw.items()}
-        base = norm["base"]
-        diffs = {}
-        for label, values in norm.items():
-            if label == "base":
-                continue
-            diffs[label] = np.clip(
-                (values - base) * 100.0, CLIP_PERCENT[0], CLIP_PERCENT[1]
-            )
-        heatmaps[name] = ClassHeatmap(
-            class_name=name, hours_kept=kept, base=base, diffs=diffs
+    raw = {
+        label: _week_kept_hours(selected, week, kept)
+        for label, week in weeks.items()
+    }
+    lo = min(float(v.min()) for v in raw.values())
+    hi = max(float(v.max()) for v in raw.values())
+    span = hi - lo if hi > lo else 1.0
+    norm = {label: (v - lo) / span for label, v in raw.items()}
+    base = norm["base"]
+    diffs = {}
+    for label, values in norm.items():
+        if label == "base":
+            continue
+        diffs[label] = np.clip(
+            (values - base) * 100.0, CLIP_PERCENT[0], CLIP_PERCENT[1]
         )
-    return heatmaps
+    return ClassHeatmap(
+        class_name=class_name, hours_kept=kept, base=base, diffs=diffs
+    )
 
 
 def weekly_class_growth(
@@ -375,7 +402,17 @@ def weekly_class_growth(
     the ISP, educational "+200%" at the ISP-CE) compare whole weeks,
     unlike the business-hours statements.
     """
-    selected = app_class.select(flows)
+    return selected_weekly_growth(
+        app_class.select(flows), base_week, stage_week
+    )
+
+
+def selected_weekly_growth(
+    selected: FlowTable,
+    base_week: timebase.Week,
+    stage_week: timebase.Week,
+) -> float:
+    """:func:`weekly_class_growth` of flows already selected for the class."""
     base_start, base_stop = base_week.hour_range()
     stage_start, stage_stop = stage_week.hour_range()
     base = float(selected.hourly_bytes(base_start, base_stop).sum())
@@ -401,7 +438,22 @@ def business_hours_growth(
     applications show a dramatic increase of more than 200% during
     business hours").
     """
-    selected = app_class.select(flows)
+    return selected_business_hours_growth(
+        app_class.select(flows), base_week, stage_week, region,
+        hours, weekend,
+    )
+
+
+def selected_business_hours_growth(
+    selected: FlowTable,
+    base_week: timebase.Week,
+    stage_week: timebase.Week,
+    region: timebase.Region,
+    hours: Tuple[int, int] = (9, 17),
+    weekend: bool = False,
+) -> float:
+    """:func:`business_hours_growth` of flows already selected for the
+    class."""
     h0, h1 = hours
 
     def _mean_business(week: timebase.Week) -> float:

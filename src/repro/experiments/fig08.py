@@ -78,13 +78,12 @@ def run_fig08(scenario: Scenario,
     result = ExperimentResult("fig08", "Gaming unique IPs and volume")
     (gaming_request,) = _datasets(scenario, config)
     flows = datasets.fetch(scenario, gaming_request)
-    gaming_class = appclass.standard_classes()["gaming"]
-    activity = appclass.class_activity(flows, gaming_class, START, END)
+    selected = appclass.standard_classes()["gaming"].select(flows)
+    activity = appclass.selected_activity(selected, START, END)
     # The same series served through the query subsystem: the engine's
     # exact aggregates must match the batch path bit-for-bit, and its
     # HLL distinct-IP estimate must sit within the documented sketch
     # error of the exact per-hour counts.
-    selected = gaming_class.select(flows)
     start = timebase.hour_index(START, 0)
     stop = timebase.hour_index(END, 23) + 1
     engine_volume, engine_ips, failed_partitions = _query_engine_series(

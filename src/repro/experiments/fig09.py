@@ -62,23 +62,29 @@ def run_fig09(scenario: Scenario,
     for name, weeks in WEEKS.items():
         vantage = scenario.vantage(name)
         flows = _week_flows(scenario, config, name)
-        heatmaps[name] = appclass.class_heatmaps(flows, weeks, classes)
-        business[name] = {}
-        weekly[name] = {}
-        for cname, cls in classes.items():
-            business[name][cname] = {}
-            weekly[name][cname] = {}
+        heatmaps[name] = {}
+        business[name] = {cname: {} for cname in classes}
+        weekly[name] = {cname: {} for cname in classes}
+        # Select each class once per vantage; the heatmap and both
+        # growth views share the selected table and its hour index.
+        for cname in sorted(classes):
+            selected = classes[cname].select(flows)
+            heatmaps[name][cname] = appclass.selected_heatmap(
+                selected, cname, weeks
+            )
+            if name == "isp-ce" and cname == "social":
+                isp_social = selected
             for stage in ("stage1", "stage2"):
                 try:
                     business[name][cname][stage] = (
-                        appclass.business_hours_growth(
-                            flows, cls, weeks["base"], weeks[stage],
+                        appclass.selected_business_hours_growth(
+                            selected, weeks["base"], weeks[stage],
                             vantage.region,
                         )
                     )
                     weekly[name][cname][stage] = (
-                        appclass.weekly_class_growth(
-                            flows, cls, weeks["base"], weeks[stage]
+                        appclass.selected_weekly_growth(
+                            selected, weeks["base"], weeks[stage]
                         )
                     )
                 except ValueError:
@@ -146,15 +152,14 @@ def run_fig09(scenario: Scenario,
     result.checks["gaming only ~10% at the ISP"] = (
         -0.05 <= result.metrics["isp-ce/gaming"] <= 0.35
     )
-    # Social media: initial increase that flattens in stage 2.  Reuses
-    # the cached ISP week tables fetched above.
-    isp_weeks = timebase.APPCLASS_WEEKS_ISP
-    isp_flows = _week_flows(scenario, config, "isp-ce")
-    social_stage1 = appclass.weekly_class_growth(
-        isp_flows, classes["social"], isp_weeks["base"], isp_weeks["stage1"]
+    # Social media: initial increase that flattens in stage 2, from the
+    # social flows selected at the ISP above.
+    isp_weeks = WEEKS["isp-ce"]
+    social_stage1 = appclass.selected_weekly_growth(
+        isp_social, isp_weeks["base"], isp_weeks["stage1"]
     )
-    social_stage2 = appclass.weekly_class_growth(
-        isp_flows, classes["social"], isp_weeks["base"], isp_weeks["stage2"]
+    social_stage2 = appclass.selected_weekly_growth(
+        isp_social, isp_weeks["base"], isp_weeks["stage2"]
     )
     result.metrics["isp-ce/social-stage1"] = social_stage1
     result.metrics["isp-ce/social-stage2"] = social_stage2

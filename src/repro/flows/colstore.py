@@ -309,10 +309,15 @@ def _seal_dir(temp: Path, final_dir: Path) -> None:
 
 
 def _write_sidecar(sidecar: dict, temp: Path) -> str:
-    path = temp / SIDECAR
-    with path.open("w") as handle:
-        json.dump(sidecar, handle, indent=2, sort_keys=True)
-    return file_sha256(path)
+    """Write the sidecar as compact JSON; return the sha256 of its bytes.
+
+    One ``json.dumps`` runs the C encoder (``json.dump`` to a handle, or
+    any ``indent``, falls back to the pure-Python one), and hashing the
+    bytes in memory saves reading the file back.
+    """
+    data = json.dumps(sidecar, sort_keys=True).encode("utf-8")
+    (temp / SIDECAR).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_partition(

@@ -19,7 +19,7 @@ matrix, so the packed size is ``ceil(rows * bits / 8)`` bytes.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -121,9 +121,19 @@ def dict_decode(parts: Dict[str, np.ndarray], meta: Dict[str, Any],
 # delta encoding
 
 
-def delta_encode(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]] | None:
-    """Encode as base + bit-packed deltas, or None when deltas are too wide."""
+def delta_encode(
+    array: np.ndarray, win_over: Optional[int] = None,
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]] | None:
+    """Encode as base + bit-packed deltas, or None when deltas are too wide.
+
+    With ``win_over`` (bytes), also None unless the packed deltas are
+    more than :data:`DELTA_WIN_FACTOR` times smaller than that — the
+    :func:`encode_column` admission rule, checked from the bit width
+    before anything is packed.
+    """
     if array.size == 0:
+        if win_over is not None and win_over <= 0:
+            return None
         return (
             {"encoding": DELTA, "base": 0, "delta_min": 0, "bits": 0},
             {"deltas": np.zeros(0, dtype=np.uint8)},
@@ -143,6 +153,10 @@ def delta_encode(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarra
     if dmax - dmin >= _DELTA_MAX_SPAN:
         return None
     bits = int(dmax - dmin).bit_length()
+    if win_over is not None:
+        packed_nbytes = (deltas.size * bits + 7) // 8
+        if packed_nbytes * DELTA_WIN_FACTOR >= win_over:
+            return None
     offsets = (deltas - dmin).astype(np.int64)
     packed = pack_bits(offsets, bits)
     meta = {
@@ -234,12 +248,9 @@ def encode_column(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
             best = (meta, parts)
             access_size = size
 
-    encoded = delta_encode(array)
+    encoded = delta_encode(array, win_over=access_size)
     if encoded is not None:
-        meta, parts = encoded
-        size = sum(p.nbytes for p in parts.values())
-        if size * DELTA_WIN_FACTOR < access_size:
-            return meta, parts
+        return encoded
 
     if best is None:
         return {"encoding": RAW}, {"raw": raw}

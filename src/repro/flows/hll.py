@@ -12,7 +12,7 @@ Accuracy: the relative standard error is ~1.04/sqrt(2^p); the default
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +37,42 @@ def _hash64(values: np.ndarray, salt: int) -> np.ndarray:
     return x
 
 
+def _index_rank(
+    values: np.ndarray, p: int, salt: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Register index and rank of every value's hash.
+
+    The index is the hash's top ``p`` bits; the rank is the position of
+    the leftmost 1 bit in the remaining bits, with an all-zero
+    remainder mapping to the maximum rank.
+    """
+    hashed = _hash64(values, salt)
+    indices = (hashed >> np.uint64(_HASH_BITS - p)).astype(np.int64)
+    remainder = hashed << np.uint64(p)
+    width = _HASH_BITS - p
+    ranks = np.full(values.size, width + 1, dtype=np.uint8)
+    nonzero = remainder != 0
+    if nonzero.any():
+        # Leading zero count via float64 exponent is unsafe at 64
+        # bits; use a bit-length loop on the log2 instead.
+        shifted = remainder[nonzero]
+        lz = np.zeros(shifted.size, dtype=np.uint8)
+        current = shifted.copy()
+        # Binary search over the leading-zero count.
+        for step in (32, 16, 8, 4, 2, 1):
+            mask = current < (np.uint64(1) << np.uint64(64 - step))
+            lz[mask] += step
+            current[mask] = current[mask] << np.uint64(step)
+        ranks_nz = (lz + 1).astype(np.uint8)
+        ranks[nonzero] = np.minimum(ranks_nz, width + 1)
+    return indices, ranks
+
+
+def _check_precision(p: int) -> None:
+    if not 4 <= p <= 18:
+        raise ValueError(f"precision must be in [4, 18], got {p}")
+
+
 def _alpha(m: int) -> float:
     if m == 16:
         return 0.673
@@ -53,8 +89,7 @@ class HyperLogLog:
     __slots__ = ("_p", "_salt", "_registers")
 
     def __init__(self, p: int = 12, salt: int = 0):
-        if not 4 <= p <= 18:
-            raise ValueError(f"precision must be in [4, 18], got {p}")
+        _check_precision(p)
         self._p = p
         self._salt = salt
         self._registers = np.zeros(1 << p, dtype=np.uint8)
@@ -79,30 +114,37 @@ class HyperLogLog:
             values, np.ndarray) else values, dtype=np.uint64)
         if array.size == 0:
             return
-        hashed = _hash64(array, self._salt)
-        indices = (hashed >> np.uint64(_HASH_BITS - self._p)).astype(
-            np.int64
-        )
-        remainder = hashed << np.uint64(self._p)
-        # Rank: position of the leftmost 1 bit in the remainder, with
-        # the all-zero remainder mapping to the maximum rank.
-        width = _HASH_BITS - self._p
-        ranks = np.full(array.size, width + 1, dtype=np.uint8)
-        nonzero = remainder != 0
-        if nonzero.any():
-            # Leading zero count via float64 exponent is unsafe at 64
-            # bits; use a bit-length loop on the log2 instead.
-            shifted = remainder[nonzero]
-            lz = np.zeros(shifted.size, dtype=np.uint8)
-            current = shifted.copy()
-            # Binary search over the leading-zero count.
-            for step in (32, 16, 8, 4, 2, 1):
-                mask = current < (np.uint64(1) << np.uint64(64 - step))
-                lz[mask] += step
-                current[mask] = current[mask] << np.uint64(step)
-            ranks_nz = (lz + 1).astype(np.uint8)
-            ranks[nonzero] = np.minimum(ranks_nz, width + 1)
+        indices, ranks = _index_rank(array, self._p, self._salt)
         np.maximum.at(self._registers, indices, ranks)
+
+    @classmethod
+    def per_group(
+        cls, values: np.ndarray, groups: np.ndarray, n_groups: int,
+        p: int = 12, salt: int = 0,
+    ) -> List["HyperLogLog"]:
+        """One sketch per group id in ``range(n_groups)``, in one pass.
+
+        ``groups[i]`` is the group of ``values[i]``.  The values are
+        hashed once and folded into a ``(n_groups, 2**p)`` register
+        array with a single ``np.maximum.at``; each returned sketch
+        owns one row of it.  The registers equal those of calling
+        :meth:`add_many` with each group's values, and a group with no
+        values gets an empty sketch.
+        """
+        _check_precision(p)
+        m = 1 << p
+        registers = np.zeros((n_groups, m), dtype=np.uint8)
+        array = np.asarray(values, dtype=np.uint64)
+        if array.size:
+            indices, ranks = _index_rank(array, p, salt)
+            flat = np.asarray(groups, dtype=np.int64) * m + indices
+            np.maximum.at(registers.reshape(-1), flat, ranks)
+        sketches = []
+        for row in registers:
+            sketch = cls.__new__(cls)
+            sketch._p, sketch._salt, sketch._registers = p, salt, row
+            sketches.append(sketch)
+        return sketches
 
     def count(self) -> float:
         """Estimate the number of distinct values added."""

@@ -26,7 +26,9 @@ and :meth:`FlowStore.migrate` rewrites partitions between any two
 formats in place — atomically, one day at a time.
 
 Writes are append-only at day granularity; re-writing a day replaces
-its partition atomically (write to a temp name, then rename).
+its partition atomically (write to a temp name, then rename).  The
+manifest is committed once per :meth:`FlowStore.write_day`,
+:meth:`FlowStore.write_range` or :meth:`FlowStore.migrate` call.
 
 Every partition's manifest entry records a SHA-256 — of the archive
 bytes (v1) or of the sidecar, which in turn records per-column segment
@@ -39,6 +41,7 @@ crashed query.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import hashlib
 import json
@@ -98,6 +101,7 @@ class FlowStore:
         self._default_format = default_format
         self._manifest: Dict[str, Dict[str, object]] = {}
         self._partitions: Dict[tuple, colstore.ColumnarPartition] = {}
+        self._commit_depth = 0
         manifest_path = self._root / _MANIFEST
         if manifest_path.exists():
             with manifest_path.open() as handle:
@@ -142,6 +146,25 @@ class FlowStore:
         with temp.open("w") as handle:
             json.dump(self._manifest, handle, indent=2, sort_keys=True)
         os.replace(temp, self._root / _MANIFEST)
+
+    @contextlib.contextmanager
+    def _manifest_commit(self) -> Iterator[None]:
+        """Write the manifest once, when the outermost block exits.
+
+        Every manifest change runs inside one of these blocks.
+        :meth:`write_range` and :meth:`migrate` wrap their whole loop in
+        one, so the per-day blocks nested inside it commit nothing and
+        the manifest is written once per call instead of once per day.
+        The commit also runs when the block raises, so the days sealed
+        before the error are recorded.
+        """
+        self._commit_depth += 1
+        try:
+            yield
+        finally:
+            self._commit_depth -= 1
+            if self._commit_depth == 0:
+                self._save_manifest()
 
     def _invalidate(self, key: str) -> None:
         """Drop cached partition handles for one rewritten/deleted day."""
@@ -296,9 +319,9 @@ class FlowStore:
         }
         if fmt != FORMAT_V1:
             entry["format"] = fmt
-        self._manifest[key] = entry
-        self._invalidate(key)
-        self._save_manifest()
+        with self._manifest_commit():
+            self._manifest[key] = entry
+            self._invalidate(key)
 
     def write_range(
         self, flows: FlowTable, start_day: _dt.date, end_day: _dt.date,
@@ -309,17 +332,27 @@ class FlowStore:
         Returns the number of partitions written.  Days inside the
         range with no flows get an empty partition, making subsequent
         coverage checks unambiguous.
+
+        The manifest is committed once, after the last day is sealed.
+        A crash before that commit leaves the previous manifest in
+        place: it still lists exactly the days it listed before, and the
+        partitions sealed for new days are orphans on disk that no read
+        sees.  A day that already existed and was re-sealed before the
+        crash no longer matches its old manifest checksum, so reading
+        it raises :class:`FlowStoreError` rather than returning either
+        version.
         """
         if end_day < start_day:
             raise ValueError("end_day precedes start_day")
         hours = flows.column("hour")
         written = 0
-        for day in timebase.iter_days(start_day, end_day):
-            day_start = timebase.hour_index(day, 0)
-            mask = (hours >= day_start) & (hours < day_start + 24)
-            self.write_day(day, flows.filter(mask),
-                           partition_format=partition_format)
-            written += 1
+        with self._manifest_commit():
+            for day in timebase.iter_days(start_day, end_day):
+                day_start = timebase.hour_index(day, 0)
+                mask = (hours >= day_start) & (hours < day_start + 24)
+                self.write_day(day, flows.filter(mask),
+                               partition_format=partition_format)
+                written += 1
         return written
 
     def delete_day(self, day: _dt.date) -> None:
@@ -333,28 +366,36 @@ class FlowStore:
         directory = self._partition_dir(day)
         if directory.exists():
             shutil.rmtree(directory)
-        del self._manifest[key]
-        self._invalidate(key)
-        self._save_manifest()
+        with self._manifest_commit():
+            del self._manifest[key]
+            self._invalidate(key)
 
     def migrate(self, to_format: int = FORMAT_V2) -> int:
         """Rewrite partitions stored in another format, in place.
 
-        Each day is read fully (checksums verified), rewritten in
-        ``to_format`` with the usual tmp+rename swap, and its manifest
-        entry updated — so a crash mid-migration leaves every partition
-        either fully old or fully new.  Returns the number of
-        partitions rewritten; already-converted days are untouched.
+        Each day is read fully (checksums verified) and rewritten in
+        ``to_format`` with the usual tmp+rename swap, so no partition is
+        ever half written.  Returns the number of partitions rewritten;
+        already-converted days are untouched.
+
+        As in :meth:`write_range`, the manifest is committed once, after
+        the last day.  A crash before that commit leaves the previous
+        manifest in place, and every day migrated so far no longer
+        matches it: its new partition is an orphan, and its old archive
+        or sidecar is gone or replaced, so reading the day raises
+        :class:`FlowStoreError` until the store is repaired or
+        regenerated.  Days not yet reached read as before.
         """
         if to_format not in _ALL_FORMATS:
             raise ValueError(f"unknown partition format {to_format!r}")
         migrated = 0
-        for day in self.days():
-            if self.partition_format(day) == to_format:
-                continue
-            flows = self.read_day(day)
-            self.write_day(day, flows, partition_format=to_format)
-            migrated += 1
+        with self._manifest_commit():
+            for day in self.days():
+                if self.partition_format(day) == to_format:
+                    continue
+                flows = self.read_day(day)
+                self.write_day(day, flows, partition_format=to_format)
+                migrated += 1
         return migrated
 
     # -- reads ---------------------------------------------------------------------

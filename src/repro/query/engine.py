@@ -696,14 +696,17 @@ def scan_partition(
             exact_sums[aggregate] = layout.sum(
                 table.column(EXACT_AGGREGATE_COLUMNS[aggregate])
             )
-    sketch_columns = {
-        aggregate: table.column(
-            "src_ip" if aggregate == "distinct_src_ips" else "dst_ip"
+    # Every group's sketch in one hash-and-fold pass per column.
+    group_sketches = {
+        aggregate: HyperLogLog.per_group(
+            table.column(
+                "src_ip" if aggregate == "distinct_src_ips" else "dst_ip"
+            ),
+            layout.codes, layout.n_groups, p=spec.hll_p,
         )
         for aggregate in spec.aggregates
         if aggregate in SKETCH_AGGREGATES
     }
-    segment_ends = np.append(layout.starts[1:], layout.n_rows)
     for g in range(layout.n_groups):
         group: Tuple[int, ...] = tuple(
             int(values[g]) for values in decoded
@@ -714,14 +717,11 @@ def scan_partition(
             aggregate: int(values[g])
             for aggregate, values in exact_sums.items()
         }
-        if sketch_columns:
-            segment = layout.order[layout.starts[g]:segment_ends[g]]
-            group_sketches: Dict[str, HyperLogLog] = {}
-            for aggregate, column in sketch_columns.items():
-                sketch = HyperLogLog(p=spec.hll_p)
-                sketch.add_many(column[segment])
-                group_sketches[aggregate] = sketch
-            sketches[group] = group_sketches
+        if group_sketches:
+            sketches[group] = {
+                aggregate: per_group[g]
+                for aggregate, per_group in group_sketches.items()
+            }
     return sums, sketches, _stats()
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -129,19 +129,27 @@ def generate_enterprise_flows(
         raise ValueError("intensity must be in [0, 1]")
     if not eyeball_asns:
         raise ValueError("eyeball AS list must be non-empty")
-    shape = diurnal.get_shape("business")
-    weekend_shape = diurnal.get_shape("flat")
+    days = week.days()
+    weekend = np.array([timebase.is_weekend(day) for day in days])
+    day_shapes = np.where(
+        weekend[:, None],
+        diurnal.get_shape("flat")[None, :],
+        diurnal.get_shape("business")[None, :],
+    )
+    # Factors multiply in the order shape / 24 * weekend factor * day
+    # noise; another order changes some rounded byte counts.
+    day_levels = day_shapes / 24.0 * np.where(weekend, 0.45, 1.0)[:, None]
+    day_hours = (
+        np.array([timebase.hour_index(day, 0) for day in days])[:, None]
+        + np.arange(24)
+    )
     hosting = registry.asns_by_category(ASCategory.HOSTING)
     asns = sorted(behaviors)
-    rows: Dict[str, List[int]] = {
-        name: []
-        for name in (
-            "hour", "src_ip", "dst_ip", "src_asn", "dst_asn",
-            "proto", "src_port", "dst_port", "n_bytes", "n_packets",
-            "connections",
-        )
-    }
-    for asn in asns:
+    daily = np.empty((len(asns), 2))
+    noise = np.empty((len(asns), len(days)))
+    # Per AS and peer kind: (own address, peer AS, peer address).
+    endpoints = np.empty((len(asns), 2, 3), dtype=np.int64)
+    for i, asn in enumerate(asns):
         behavior = behaviors[asn]
         rng = _rng_for(seed + 1, asn)
         own_ip = int(
@@ -167,37 +175,41 @@ def generate_enterprise_flows(
             # Partial response: interpolate the excess over pre-pandemic.
             res_mult = 1.0 + (res_mult - 1.0) * intensity
             other_mult = 1.0 + (other_mult - 1.0) * intensity
-        res_daily = behavior.base_total * behavior.residential_share * res_mult
-        other_daily = (
-            behavior.base_total * (1.0 - behavior.residential_share) * other_mult
+        daily[i] = (
+            behavior.base_total * behavior.residential_share * res_mult,
+            behavior.base_total * (1.0 - behavior.residential_share)
+            * other_mult,
         )
-        for day in week.days():
-            weekend = timebase.is_weekend(day)
-            day_shape = weekend_shape if weekend else shape
-            weekend_factor = 0.45 if weekend else 1.0
-            day_noise = float(rng.lognormal(0.0, 0.08))
-            base_hour = timebase.hour_index(day, 0)
-            for hour in range(24):
-                level = day_shape[hour] / 24.0 * weekend_factor * day_noise
-                for daily, peer_asn, peer_addr in (
-                    (res_daily, eyeball, eyeball_ip),
-                    (other_daily, peer, peer_ip),
-                ):
-                    volume = daily * level
-                    n_bytes = int(round(volume * BYTES_PER_UNIT))
-                    if n_bytes <= 0:
-                        continue
-                    rows["hour"].append(base_hour + hour)
-                    rows["src_ip"].append(own_ip)
-                    rows["dst_ip"].append(peer_addr)
-                    rows["src_asn"].append(asn)
-                    rows["dst_asn"].append(peer_asn)
-                    rows["proto"].append(PROTO_TCP)
-                    rows["src_port"].append(443)
-                    rows["dst_port"].append(EPHEMERAL_START)
-                    rows["n_bytes"].append(n_bytes)
-                    rows["n_packets"].append(max(1, n_bytes // 900))
-                    rows["connections"].append(1)
+        # One noise factor per day; a size-n draw yields the same values
+        # as n scalar draws.
+        noise[i] = rng.lognormal(0.0, 0.08, size=len(days))
+        endpoints[i] = ((own_ip, eyeball, eyeball_ip),
+                        (own_ip, peer, peer_ip))
+    # Rows are ordered AS, day, hour, then residential before other;
+    # buckets whose byte count rounds to zero emit no row.
+    grid = (len(asns), len(days), 24, 2)
+    levels = day_levels[None, :, :, None] * noise[:, :, None, None]
+    volume = daily[:, None, None, :] * levels
+    # np.rint rounds half to even, exactly like the builtin round().
+    n_bytes = np.rint(volume * BYTES_PER_UNIT).astype(np.int64).reshape(-1)
+    keep = n_bytes > 0
+    n_bytes = n_bytes[keep]
+
+    def _expand(values: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(values, grid).reshape(-1)[keep]
+
+    peer_endpoints = endpoints[:, None, None, :, :]
+    n_rows = len(n_bytes)
     return FlowTable.from_arrays(
-        **{name: np.asarray(col) for name, col in rows.items()}
+        hour=_expand(day_hours[None, :, :, None]),
+        src_ip=_expand(peer_endpoints[..., 0]),
+        dst_ip=_expand(peer_endpoints[..., 2]),
+        src_asn=_expand(np.asarray(asns, dtype=np.int64)[:, None, None, None]),
+        dst_asn=_expand(peer_endpoints[..., 1]),
+        proto=np.full(n_rows, PROTO_TCP, dtype=np.int64),
+        src_port=np.full(n_rows, 443, dtype=np.int64),
+        dst_port=np.full(n_rows, EPHEMERAL_START, dtype=np.int64),
+        n_bytes=n_bytes,
+        n_packets=np.maximum(1, n_bytes // 900),
+        connections=np.ones(n_rows, dtype=np.int64),
     )

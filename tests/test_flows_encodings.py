@@ -1,5 +1,7 @@
 """Tests for the v3 column encodings (dict, delta+bit-pack, bitmaps)."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,62 @@ class TestSealChoice:
         # card 24 > BITMAP_MAX_CARD would not apply; 24 > 16 so the
         # outright-dict rule is off and the 1-bit delta wins on size.
         assert meta["encoding"] == enc.DELTA
+
+    @staticmethod
+    def _pack_then_compare(array):
+        """The seal choice made the long way: pack the deltas, then size
+        them against the best random-access encoding."""
+        raw = np.ascontiguousarray(array)
+        access = raw.nbytes
+        best = ({"encoding": enc.RAW}, {"raw": raw})
+        encoded = enc.dict_encode(array)
+        if encoded is not None:
+            size = sum(part.nbytes for part in encoded[1].values())
+            if encoded[0]["cardinality"] <= enc.BITMAP_MAX_CARD and (
+                size < raw.nbytes
+            ):
+                return encoded
+            if size < raw.nbytes:
+                best, access = encoded, size
+        encoded = enc.delta_encode(array)
+        if encoded is not None:
+            size = sum(part.nbytes for part in encoded[1].values())
+            if size * enc.DELTA_WIN_FACTOR < access:
+                return encoded
+        return best
+
+    @pytest.mark.parametrize("column, winner", [
+        ("hour", enc.DELTA),
+        ("n_bytes", enc.RAW),
+        ("src_asn", enc.DICT),
+    ])
+    def test_choice_matches_packing_first(self, scenario, column, winner):
+        day = scenario.isp_ce.generate_flows(
+            dt.date(2020, 2, 19), dt.date(2020, 2, 19), fidelity=0.3
+        ).column(column)
+        meta, parts = enc.encode_column(day)
+        want_meta, want_parts = self._pack_then_compare(day)
+        assert meta["encoding"] == winner
+        assert meta == want_meta
+        assert parts.keys() == want_parts.keys()
+        for role, part in parts.items():
+            assert part.dtype == want_parts[role].dtype
+            assert np.array_equal(part, want_parts[role])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_win_over_rejects_exactly_the_losing_packings(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 400))
+        array = np.cumsum(
+            rng.integers(0, 1 << int(rng.integers(1, 20)), size=rows)
+        )
+        packed = enc.delta_encode(array)[1]["deltas"].nbytes
+        for win_over in (0, packed * enc.DELTA_WIN_FACTOR,
+                         packed * enc.DELTA_WIN_FACTOR + 1, array.nbytes):
+            limited = enc.delta_encode(array, win_over=win_over)
+            assert (limited is None) == (
+                packed * enc.DELTA_WIN_FACTOR >= win_over
+            )
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint32])
     def test_empty_arrays_round_trip(self, dtype):

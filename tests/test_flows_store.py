@@ -7,7 +7,7 @@ import pytest
 
 from repro import timebase
 from repro.core.streaming import StreamingAggregator
-from repro.flows.store import FORMAT_V1, FlowStore, FlowStoreError
+from repro.flows.store import FORMAT_V1, FORMAT_V3, FlowStore, FlowStoreError
 from repro.flows.table import FlowTable
 
 
@@ -124,6 +124,82 @@ class TestManifest:
             three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
         )
         assert store.total_flows() == len(three_day_flows)
+
+    def test_write_range_commits_manifest_once(
+        self, tmp_path, three_day_flows, monkeypatch
+    ):
+        ranged = FlowStore(tmp_path / "ranged")
+        saves = []
+        original = FlowStore._save_manifest
+
+        def counting_save(self):
+            saves.append(self.root)
+            original(self)
+
+        monkeypatch.setattr(FlowStore, "_save_manifest", counting_save)
+        written = ranged.write_range(
+            three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
+        )
+        assert written == 3
+        assert saves == [ranged.root]
+        monkeypatch.undo()
+        daily = FlowStore(tmp_path / "daily")
+        for day in timebase.iter_days(dt.date(2020, 2, 19),
+                                      dt.date(2020, 2, 21)):
+            start = timebase.hour_index(day, 0)
+            daily.write_day(
+                day, three_day_flows.between_hours(start, start + 24)
+            )
+        reopened = FlowStore(tmp_path / "ranged")
+        assert reopened.state_token() == ranged.state_token()
+        assert reopened.state_token() == FlowStore(
+            tmp_path / "daily").state_token()
+        for day in reopened.days():
+            got, want = reopened.read_day(day), daily.read_day(day)
+            for name in ("hour", "src_ip", "dst_ip", "n_bytes"):
+                assert np.array_equal(got.column(name), want.column(name))
+
+    def test_migrate_commits_manifest_once(
+        self, tmp_path, three_day_flows, monkeypatch
+    ):
+        store = FlowStore(tmp_path / "store", default_format=FORMAT_V1)
+        store.write_range(
+            three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
+        )
+        saves = []
+        original = FlowStore._save_manifest
+
+        def counting_save(self):
+            saves.append(self.root)
+            original(self)
+
+        monkeypatch.setattr(FlowStore, "_save_manifest", counting_save)
+        assert store.migrate(FORMAT_V3) == 3
+        assert saves == [store.root]
+        reopened = FlowStore(tmp_path / "store")
+        assert reopened.format_counts() == {FORMAT_V3: 3}
+        assert reopened.state_token() == store.state_token()
+        assert reopened.total_flows() == len(three_day_flows)
+
+    def test_failed_range_commits_days_sealed_before_the_error(
+        self, tmp_path, three_day_flows, monkeypatch
+    ):
+        store = FlowStore(tmp_path / "store")
+        original = FlowStore.write_day
+
+        def failing_write_day(self, day, flows, partition_format=None):
+            if day == dt.date(2020, 2, 21):
+                raise OSError("disk full")
+            original(self, day, flows, partition_format)
+
+        monkeypatch.setattr(FlowStore, "write_day", failing_write_day)
+        with pytest.raises(OSError):
+            store.write_range(
+                three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
+            )
+        assert FlowStore(tmp_path / "store").days() == [
+            dt.date(2020, 2, 19), dt.date(2020, 2, 20)
+        ]
 
 
 class TestRangeEdgeCases:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import timebase
 from repro.core.streaming import StreamingAggregator
@@ -106,6 +108,58 @@ class TestHyperLogLog:
         sketch.add_many(addresses)
         true_count = len(np.unique(addresses))
         assert sketch.count() == pytest.approx(true_count, rel=0.05)
+
+
+class TestPerGroupSketches:
+    """``HyperLogLog.per_group`` against one ``add_many`` per group."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from([4, 12, 18]),
+        salt=st.integers(0, 3),
+        n_groups=st.integers(0, 6),
+        data=st.data(),
+    )
+    def test_registers_equal_per_group_add_many(self, p, salt, n_groups,
+                                                data):
+        # Groups are drawn from range(n_groups), so some end up empty
+        # and some hold a single row.
+        n_rows = data.draw(st.integers(0, 40)) if n_groups else 0
+        values = np.asarray(data.draw(st.lists(
+            st.integers(0, (1 << 32) - 1), min_size=n_rows, max_size=n_rows,
+        )), dtype=np.int64)
+        groups = np.asarray(data.draw(st.lists(
+            st.integers(0, max(n_groups - 1, 0)),
+            min_size=n_rows, max_size=n_rows,
+        )), dtype=np.int64)
+        sketches = HyperLogLog.per_group(values, groups, n_groups,
+                                         p=p, salt=salt)
+        assert len(sketches) == n_groups
+        for g, sketch in enumerate(sketches):
+            reference = HyperLogLog(p=p, salt=salt)
+            reference.add_many(values[groups == g])
+            assert sketch.precision == p
+            assert np.array_equal(sketch._registers, reference._registers)
+            assert sketch.count() == reference.count()
+            # Same parameters, so it merges like any other sketch.
+            reference.union_update(sketch)
+
+    @pytest.mark.parametrize("p", [4, 18])
+    def test_empty_and_single_row_groups(self, p):
+        values = np.array([7, 11, 11, 13], dtype=np.int64)
+        groups = np.array([1, 3, 3, 3], dtype=np.int64)
+        empty, single, also_empty, triple = HyperLogLog.per_group(
+            values, groups, 4, p=p
+        )
+        assert not empty._registers.any()
+        assert not also_empty._registers.any()
+        assert empty.count() == 0.0
+        assert round(single.count()) == 1
+        assert round(triple.count()) == 2
+
+    def test_rejects_bad_precision(self):
+        with pytest.raises(ValueError):
+            HyperLogLog.per_group(np.zeros(1), np.zeros(1), 1, p=3)
 
 
 class TestStreamingAggregator:

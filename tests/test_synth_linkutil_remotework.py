@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from repro import timebase
+from repro.flows.record import PROTO_TCP
+from repro.flows.table import COLUMNS, FlowTable
 from repro.netbase.asdb import ASCategory
-from repro.synth import linkutil, remotework
+from repro.netbase.prefixes import deterministic_addresses_in
+from repro.synth import diurnal, linkutil, remotework
+from repro.synth.flowgen import BYTES_PER_UNIT, EPHEMERAL_START
 from repro.synth.remotework import BEHAVIOR_SHARES
 
 
@@ -141,3 +145,86 @@ class TestEnterpriseFlows:
                 scenario.registry, scenario.prefix_map,
                 scenario.enterprise_behaviors, [], weeks[0], False, seed=1,
             )
+
+
+def _scalar_enterprise_flows(registry, prefix_map, behaviors, eyeball_asns,
+                             week, lockdown_active, seed, intensity=1.0):
+    """The row-at-a-time generator the vectorized one must reproduce."""
+    shape = diurnal.get_shape("business")
+    weekend_shape = diurnal.get_shape("flat")
+    hosting = registry.asns_by_category(ASCategory.HOSTING)
+    names = ("hour", "src_ip", "dst_ip", "src_asn", "dst_asn", "proto",
+             "src_port", "dst_port", "n_bytes", "n_packets", "connections")
+    rows = {name: [] for name in names}
+    for asn in sorted(behaviors):
+        behavior = behaviors[asn]
+        rng = remotework._rng_for(seed + 1, asn)
+
+        def address(owner):
+            return int(deterministic_addresses_in(
+                prefix_map.prefixes_of(owner), 1, salt=asn)[0])
+
+        own_ip = address(asn)
+        eyeball = int(eyeball_asns[asn % len(eyeball_asns)])
+        eyeball_ip = address(eyeball)
+        peer = int(hosting[asn % len(hosting)]) if hosting else eyeball
+        peer_ip = address(peer)
+        res_mult = behavior.lockdown_res_mult if lockdown_active else 1.0
+        other_mult = behavior.lockdown_other_mult if lockdown_active else 1.0
+        if lockdown_active and intensity != 1.0:
+            res_mult = 1.0 + (res_mult - 1.0) * intensity
+            other_mult = 1.0 + (other_mult - 1.0) * intensity
+        res_daily = behavior.base_total * behavior.residential_share * res_mult
+        other_daily = (
+            behavior.base_total * (1.0 - behavior.residential_share)
+            * other_mult
+        )
+        for day in week.days():
+            weekend = timebase.is_weekend(day)
+            day_shape = weekend_shape if weekend else shape
+            weekend_factor = 0.45 if weekend else 1.0
+            day_noise = float(rng.lognormal(0.0, 0.08))
+            base_hour = timebase.hour_index(day, 0)
+            for hour in range(24):
+                level = day_shape[hour] / 24.0 * weekend_factor * day_noise
+                for daily, peer_asn, peer_addr in (
+                    (res_daily, eyeball, eyeball_ip),
+                    (other_daily, peer, peer_ip),
+                ):
+                    n_bytes = int(round(daily * level * BYTES_PER_UNIT))
+                    if n_bytes <= 0:
+                        continue
+                    for name, value in zip(names, (
+                        base_hour + hour, own_ip, peer_addr, asn, peer_asn,
+                        PROTO_TCP, 443, EPHEMERAL_START, n_bytes,
+                        max(1, n_bytes // 900), 1,
+                    )):
+                        rows[name].append(value)
+    return FlowTable.from_arrays(
+        **{name: np.asarray(col) for name, col in rows.items()}
+    )
+
+
+class TestVectorizedEnterpriseFlows:
+    @pytest.mark.parametrize("start, lockdown, intensity", [
+        (dt.date(2020, 2, 19), False, 1.0),
+        (dt.date(2020, 3, 18), True, 1.0),
+        (dt.date(2020, 3, 18), True, 0.4),
+    ])
+    def test_matches_scalar_generator(self, scenario, start, lockdown,
+                                      intensity):
+        week = timebase.Week(start, "week")
+        args = (
+            scenario.registry, scenario.prefix_map,
+            scenario.enterprise_behaviors,
+            scenario.registry.eyeball_asns(timebase.Region.CENTRAL_EUROPE),
+            week, lockdown,
+        )
+        got = remotework.generate_enterprise_flows(
+            *args, seed=7, intensity=intensity)
+        want = _scalar_enterprise_flows(*args, seed=7, intensity=intensity)
+        assert len(got) == len(want) > 0
+        for name in COLUMNS:
+            assert got.column(name).dtype == want.column(name).dtype, name
+            np.testing.assert_array_equal(
+                got.column(name), want.column(name), err_msg=name)
