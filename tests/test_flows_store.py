@@ -8,7 +8,7 @@ import pytest
 from repro import timebase
 from repro.core.streaming import StreamingAggregator
 from repro.flows.store import FORMAT_V1, FORMAT_V3, FlowStore, FlowStoreError
-from repro.flows.table import FlowTable
+from repro.flows.table import COLUMNS, FlowTable
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,20 @@ class TestReads:
             store.read_range(dt.date(2020, 2, 21), dt.date(2020, 2, 19))
 
 
+@pytest.fixture
+def manifest_saves(monkeypatch):
+    """Roots of every store whose manifest is written, in call order."""
+    saves = []
+    original = FlowStore._save_manifest
+
+    def counting_save(self):
+        saves.append(self.root)
+        original(self)
+
+    monkeypatch.setattr(FlowStore, "_save_manifest", counting_save)
+    return saves
+
+
 class TestManifest:
     def test_survives_reopen(self, tmp_path, three_day_flows):
         store = FlowStore(tmp_path / "store")
@@ -126,23 +140,14 @@ class TestManifest:
         assert store.total_flows() == len(three_day_flows)
 
     def test_write_range_commits_manifest_once(
-        self, tmp_path, three_day_flows, monkeypatch
+        self, tmp_path, three_day_flows, manifest_saves
     ):
         ranged = FlowStore(tmp_path / "ranged")
-        saves = []
-        original = FlowStore._save_manifest
-
-        def counting_save(self):
-            saves.append(self.root)
-            original(self)
-
-        monkeypatch.setattr(FlowStore, "_save_manifest", counting_save)
         written = ranged.write_range(
             three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
         )
         assert written == 3
-        assert saves == [ranged.root]
-        monkeypatch.undo()
+        assert manifest_saves == [ranged.root]
         daily = FlowStore(tmp_path / "daily")
         for day in timebase.iter_days(dt.date(2020, 2, 19),
                                       dt.date(2020, 2, 21)):
@@ -156,26 +161,19 @@ class TestManifest:
             tmp_path / "daily").state_token()
         for day in reopened.days():
             got, want = reopened.read_day(day), daily.read_day(day)
-            for name in ("hour", "src_ip", "dst_ip", "n_bytes"):
+            for name in COLUMNS:
                 assert np.array_equal(got.column(name), want.column(name))
 
     def test_migrate_commits_manifest_once(
-        self, tmp_path, three_day_flows, monkeypatch
+        self, tmp_path, three_day_flows, manifest_saves
     ):
         store = FlowStore(tmp_path / "store", default_format=FORMAT_V1)
         store.write_range(
             three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
         )
-        saves = []
-        original = FlowStore._save_manifest
-
-        def counting_save(self):
-            saves.append(self.root)
-            original(self)
-
-        monkeypatch.setattr(FlowStore, "_save_manifest", counting_save)
+        manifest_saves.clear()
         assert store.migrate(FORMAT_V3) == 3
-        assert saves == [store.root]
+        assert manifest_saves == [store.root]
         reopened = FlowStore(tmp_path / "store")
         assert reopened.format_counts() == {FORMAT_V3: 3}
         assert reopened.state_token() == store.state_token()
