@@ -99,8 +99,8 @@ def dict_encode(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarray
         "values_dtype": values.dtype.str,
     }
     if card <= STATS_MAX_CARD:
-        meta["values"] = [int(v) for v in values]
-        meta["counts"] = [int(c) for c in counts]
+        meta["values"] = values.tolist()
+        meta["counts"] = counts.tolist()
     return meta, {"codes": codes, "values": values}
 
 

@@ -52,6 +52,8 @@ import zipfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro import timebase
 from repro.flows import colstore
 from repro.flows.colstore import (
@@ -344,16 +346,29 @@ class FlowStore:
         """
         if end_day < start_day:
             raise ValueError("end_day precedes start_day")
-        hours = flows.column("hour")
-        written = 0
+        # Each row's day within the range; rows outside it fall before
+        # index 0 or after the last day and are never written.  A stable
+        # sort keeps every day's rows in table order, so each day is one
+        # contiguous slice equal to the rows a per-day mask selects.
+        row_day = (
+            flows.column("hour") - timebase.hour_index(start_day, 0)
+        ) // 24
+        columns = flows.columns
+        if np.any(row_day[1:] < row_day[:-1]):
+            order = np.argsort(row_day, kind="stable")
+            row_day = row_day[order]
+            columns = {name: col[order] for name, col in columns.items()}
+        n_days = (end_day - start_day).days + 1
+        bounds = np.searchsorted(row_day, np.arange(n_days + 1)).tolist()
         with self._manifest_commit():
-            for day in timebase.iter_days(start_day, end_day):
-                day_start = timebase.hour_index(day, 0)
-                mask = (hours >= day_start) & (hours < day_start + 24)
-                self.write_day(day, flows.filter(mask),
+            for i, day in enumerate(timebase.iter_days(start_day, end_day)):
+                lo, hi = bounds[i], bounds[i + 1]
+                day_flows = FlowTable(
+                    {name: col[lo:hi] for name, col in columns.items()}
+                )
+                self.write_day(day, day_flows,
                                partition_format=partition_format)
-                written += 1
-        return written
+        return n_days
 
     def delete_day(self, day: _dt.date) -> None:
         """Remove a day's partition; missing days are a no-op."""

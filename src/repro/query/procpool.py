@@ -35,7 +35,12 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -178,6 +183,11 @@ def shard_days(
     return shards
 
 
+#: Longest :meth:`ScanPool.close` waits, after terminating workers, for
+#: the executor to fail their futures.
+_SETTLE_S = 5.0
+
+
 class ScanPool:
     """A persistent shard-scan pool; process-backed when possible.
 
@@ -288,7 +298,8 @@ class ScanPool:
         Pending futures are cancelled; in-flight scans get ``grace``
         seconds to finish, after which worker processes are terminated
         outright — a scan sleeping past its query's deadline must not
-        leave zombie workers behind.  Thread workers cannot be killed,
+        leave zombie workers behind — and their futures are failed
+        before this returns.  Thread workers cannot be killed,
         but their results are discarded and the executor stops
         accepting work.  Idempotent.
         """
@@ -310,6 +321,12 @@ class ScanPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(1.0)
+        # The executor's management thread fails the futures of the
+        # workers just terminated, but asynchronously: wait (bounded)
+        # until it has, so no future outlives ``close`` undone.
+        with self._lock:
+            pending = list(self._outstanding)
+        wait(pending, timeout=_SETTLE_S)
 
     def __enter__(self) -> "ScanPool":
         return self

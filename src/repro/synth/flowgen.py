@@ -21,7 +21,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.netbase.asdb import ASCategory, ASRegistry
 from repro.netbase.prefixes import (
     PrefixMap,
     deterministic_addresses_in,
-    random_addresses_in,
 )
 from repro.series import HourlySeries
 from repro.synth.profiles import (
@@ -70,11 +69,46 @@ class _PoolSpec:
     addresses: Tuple[int, ...] = ()
 
 
+@dataclass(frozen=True)
+class _AddressTable:
+    """A client or server pool's per-AS address sources as flat arrays.
+
+    AS ``asns[i]`` owns ``entries[offsets[i] : offsets[i] + sizes[i]]``:
+    its prefixes' high 16 bits for a client pool, its stable server
+    addresses for a server pool.  A size of zero marks an AS with no
+    allocated prefixes, which fails only when a row is drawn for it.
+    """
+
+    asns: np.ndarray  # ascending, unique
+    sizes: np.ndarray
+    offsets: np.ndarray
+    entries: np.ndarray  # uint32
+
+
+class PoolTables:
+    """Resolved pools, server pools and address tables of one vantage.
+
+    They depend only on the vantage's registry, prefix map and local
+    AS configuration, never on the RNG stream, so a vantage builds one
+    instance and hands it to every sampler it creates; each pool is
+    then resolved, and each AS's server pool derived, once per vantage
+    rather than once per sampled range.  Share an instance only between
+    samplers built with identical constructor arguments apart from
+    ``seed``.
+    """
+
+    def __init__(self) -> None:
+        self.specs: Dict[object, _PoolSpec] = {}
+        self.server_pools: Dict[int, np.ndarray] = {}
+        self.addresses: Dict[_PoolSpec, _AddressTable] = {}
+
+
 class FlowSampler:
     """Samples flow tables for application profiles.
 
-    One sampler per vantage point; it owns the resolved AS pools and a
-    deterministic RNG stream.
+    One sampler per sampled range; it owns a deterministic RNG stream
+    and reads the resolved AS pools from ``tables`` (a fresh
+    :class:`PoolTables` when omitted).
     """
 
     def __init__(
@@ -85,6 +119,7 @@ class FlowSampler:
         seed: int,
         vpn_gateway_ips: Sequence[int] = (),
         edu_internal_asns: Sequence[int] = (),
+        tables: Optional[PoolTables] = None,
     ):
         if not local_eyeball_asns:
             raise ValueError("a vantage needs at least one local eyeball AS")
@@ -94,8 +129,7 @@ class FlowSampler:
         self._vpn_gateway_ips = tuple(vpn_gateway_ips)
         self._edu_internal = tuple(edu_internal_asns)
         self._rng = np.random.default_rng(seed)
-        self._server_pools: Dict[int, np.ndarray] = {}
-        self._pool_cache: Dict[object, _PoolSpec] = {}
+        self._tables = tables if tables is not None else PoolTables()
 
     # -- pool resolution ------------------------------------------------------
 
@@ -110,7 +144,7 @@ class FlowSampler:
 
     def _resolve_pool(self, pool: Union[ASCategory, Sequence[int], str]) -> _PoolSpec:
         key = pool if isinstance(pool, (ASCategory, str)) else tuple(pool)
-        cached = self._pool_cache.get(key)
+        cached = self._tables.specs.get(key)
         if cached is not None:
             return cached
         if pool == POOL_EYEBALL_LOCAL:
@@ -158,11 +192,11 @@ class FlowSampler:
                 for a in asns
             )
             spec = _PoolSpec("server", asns, weights)
-        self._pool_cache[key] = spec
+        self._tables.specs[key] = spec
         return spec
 
     def _server_pool_for(self, asn: int) -> np.ndarray:
-        pool = self._server_pools.get(asn)
+        pool = self._tables.server_pools.get(asn)
         if pool is None:
             info = self._registry.get(asn)
             weight = info.weight if info else 1.0
@@ -171,8 +205,32 @@ class FlowSampler:
             if not prefixes:
                 raise ValueError(f"AS {asn} has no allocated prefixes")
             pool = deterministic_addresses_in(prefixes, size, salt=asn)
-            self._server_pools[asn] = pool
+            self._tables.server_pools[asn] = pool
         return pool
+
+    def _address_table(self, spec: _PoolSpec) -> _AddressTable:
+        table = self._tables.addresses.get(spec)
+        if table is not None:
+            return table
+        asns = sorted(set(spec.asns))
+        chunks = []
+        for asn in asns:
+            if spec.kind == "client":
+                chunk = [p.high16 for p in self._prefix_map.prefixes_of(asn)]
+            elif self._prefix_map.prefixes_of(asn):
+                chunk = self._server_pool_for(asn)
+            else:
+                chunk = []
+            chunks.append(np.asarray(chunk, dtype=np.uint32))
+        sizes = np.array([len(c) for c in chunks], dtype=np.int64)
+        table = _AddressTable(
+            asns=np.asarray(asns, dtype=np.int64),
+            sizes=sizes,
+            offsets=np.cumsum(sizes) - sizes,
+            entries=np.concatenate(chunks),
+        )
+        self._tables.addresses[spec] = table
+        return table
 
     # -- address drawing ------------------------------------------------------
 
@@ -192,27 +250,45 @@ class FlowSampler:
         result = np.empty(count, dtype=np.uint32)
         if count == 0:
             return result
-        # One argsort groups the rows by AS; each AS's rows are then a
-        # contiguous segment of ``order``, replacing the per-AS
-        # full-length boolean masks (O(ASes × rows)) with a single
-        # grouped pass.  Segments ascend by ASN, exactly like the
-        # ``np.unique`` iteration this replaces, so the RNG stream —
-        # and therefore every generated table — is unchanged.
+        # One stable argsort groups the rows by AS into contiguous
+        # segments of ``order``, ascending by ASN.  The per-AS draws are
+        # then made by one ``integers`` call with per-draw bounds, laid
+        # out in the order a per-segment loop would draw them (client
+        # pools: the segment's prefix picks, then its host parts), which
+        # consumes the generator's bounded 32-bit stream exactly as one
+        # call per segment would — a one-prefix AS draws nothing for its
+        # picks either way — so every generated table is unchanged.
         order = np.argsort(asns, kind="stable")
         sorted_asns = asns[order]
         boundaries = np.flatnonzero(sorted_asns[1:] != sorted_asns[:-1]) + 1
         starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [count]))
-        for start, stop in zip(starts, stops):
-            asn = int(sorted_asns[start])
-            rows = order[start:stop]
-            n = stop - start
-            if spec.kind == "client":
-                prefixes = self._prefix_map.prefixes_of(asn)
-                result[rows] = random_addresses_in(prefixes, n, self._rng)
-            else:
-                pool = self._server_pool_for(asn)
-                result[rows] = pool[self._rng.integers(0, len(pool), size=n)]
+        lengths = np.diff(np.append(starts, count))
+        table = self._address_table(spec)
+        segment = np.searchsorted(table.asns, sorted_asns[starts])
+        sizes = table.sizes[segment]
+        if not sizes.all():
+            asn = int(sorted_asns[starts][sizes == 0][0])
+            raise ValueError(f"AS {asn} has no allocated prefixes")
+        row_sizes = np.repeat(sizes, lengths)
+        row_offsets = np.repeat(table.offsets[segment], lengths)
+        if spec.kind == "client":
+            # Row j of a segment starting at s with n rows picks its
+            # prefix with draw s + j and its host part with draw
+            # s + j + n (both indexed over the doubled draw vector).
+            picks = np.arange(count) + np.repeat(starts, lengths)
+            hosts = picks + np.repeat(lengths, lengths)
+            low = np.empty(2 * count, dtype=np.int64)
+            high = np.empty(2 * count, dtype=np.int64)
+            low[picks], high[picks] = 0, row_sizes
+            low[hosts], high[hosts] = 1, 0xFFFF
+            draws = self._rng.integers(low, high)
+            prefix_highs = table.entries[row_offsets + draws[picks]]
+            result[order] = (prefix_highs << np.uint32(16)) | draws[
+                hosts
+            ].astype(np.uint32)
+        else:
+            picks = self._rng.integers(0, row_sizes)
+            result[order] = table.entries[row_offsets + picks]
         return result
 
     # -- sampling ---------------------------------------------------------------

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.flows.record import PROTO_ESP, PROTO_GRE, PROTO_TCP, PROTO_UDP
 from repro.netbase.asdb import ASCategory
@@ -28,6 +30,9 @@ from repro.timebase import PHASES  # noqa: F401  (re-export)
 #: Days over which a phase change ramps in (behavioral shifts in the
 #: paper complete "almost within a week").
 RAMP_DAYS = 5
+
+#: Origin of the organic-growth clock (growth accrues from this day).
+_GROWTH_EPOCH = _dt.date(2020, 1, 1).toordinal()
 
 #: Special AS-pool markers resolved by the flow generator.
 POOL_EYEBALL_LOCAL = "eyeball-local"  # the vantage's local eyeball ASes
@@ -136,6 +141,64 @@ class VolumeEvent:
 
 
 @dataclass(frozen=True)
+class DayContext:
+    """Calendar and phase context of consecutive days, as arrays.
+
+    Everything the profile rules read about a day that does not depend
+    on the profile: its ordinal, whether it behaves like a weekend, and
+    its timeline's ``ramp_context`` — phase and previous phase as
+    indices into :data:`PHASES`, days since the phase began, and
+    whether that is fewer than :data:`RAMP_DAYS` (always false for the
+    open-ended ``pre`` phase).  A vantage builds one over the study
+    period and slices it per request.
+    """
+
+    ordinal: np.ndarray
+    weekend: np.ndarray
+    phase: np.ndarray
+    prev_phase: np.ndarray
+    days_in: np.ndarray
+    ramping: np.ndarray
+
+    @classmethod
+    def over(
+        cls,
+        start: _dt.date,
+        weekend: Sequence[bool],
+        timeline: LockdownTimeline,
+    ) -> "DayContext":
+        """Context of ``len(weekend)`` days from ``start`` on ``timeline``.
+
+        ``weekend[i]`` says whether day ``i`` behaves like a weekend;
+        ``timeline`` may be any object exposing ``ramp_context``.
+        """
+        n = len(weekend)
+        ordinal = np.arange(n, dtype=np.int64) + start.toordinal()
+        phase = np.empty(n, dtype=np.intp)
+        prev_phase = np.empty(n, dtype=np.intp)
+        days_in = np.zeros(n, dtype=np.int64)
+        ramping = np.zeros(n, dtype=bool)
+        for i in range(n):
+            day = start + _dt.timedelta(days=i)
+            name, phase_start, prev_name = timeline.ramp_context(day)
+            phase[i] = PHASES.index(name)
+            prev_phase[i] = PHASES.index(prev_name)
+            if phase_start is not None:
+                days_in[i] = (day - phase_start).days
+                ramping[i] = days_in[i] < RAMP_DAYS
+        return cls(ordinal, np.asarray(weekend, dtype=bool), phase,
+                   prev_phase, days_in, ramping)
+
+    def slice(self, start: int, stop: int) -> "DayContext":
+        """Days ``start`` to ``stop`` (exclusive) of this context."""
+        return DayContext(
+            self.ordinal[start:stop], self.weekend[start:stop],
+            self.phase[start:stop], self.prev_phase[start:stop],
+            self.days_in[start:stop], self.ramping[start:stop],
+        )
+
+
+@dataclass(frozen=True)
 class AppProfile:
     """One application population's complete traffic description."""
 
@@ -161,41 +224,73 @@ class AppProfile:
         """Copy of the profile with additional dated events."""
         return replace(self, events=self.events + tuple(events))
 
+    def daily_multipliers(self, days: DayContext) -> np.ndarray:
+        """Combined volume multiplier of each day in ``days``.
+
+        Phase changes ramp in linearly over :data:`RAMP_DAYS`; dated
+        events apply on top, in order; organic growth accrues from the
+        study start.  Each day's value is computed with the same
+        floating-point operations, in the same order, as evaluating
+        that day on its own.
+        """
+        table = np.array([
+            [self.response.multiplier(phase, weekend) for phase in PHASES]
+            for weekend in (False, True)
+        ], dtype=np.float64)
+        weekend = days.weekend.astype(np.intp)
+        target = table[weekend, days.phase]
+        ramp = days.ramping
+        if ramp.any():
+            # Ramp from the previous phase's multiplier.
+            prev = table[weekend[ramp], days.prev_phase[ramp]]
+            frac = (days.days_in[ramp] + 1) / (RAMP_DAYS + 1)
+            target[ramp] = prev + (target[ramp] - prev) * frac
+        for event in self.events:
+            active = (days.ordinal >= event.start.toordinal()) & (
+                days.ordinal <= event.end.toordinal()
+            )
+            target[active] *= event.multiplier
+        growth_days = days.ordinal - _GROWTH_EPOCH
+        target *= 1.0 + self.annual_growth * growth_days / 365.0
+        return target
+
+    def day_shapes(self, days: DayContext) -> Tuple[np.ndarray, List[str]]:
+        """Each day's diurnal shape: ``(index, names)`` with day ``i``
+        shaped by ``names[index[i]]``."""
+        combo = days.weekend.astype(np.intp) * len(PHASES) + days.phase
+        used, index = np.unique(combo, return_inverse=True)
+        names = [
+            self.response.shape_name(
+                PHASES[c % len(PHASES)], c >= len(PHASES)
+            )
+            for c in used.tolist()
+        ]
+        return index, names
+
     def daily_multiplier(
         self,
         day: _dt.date,
         timeline: LockdownTimeline,
         weekend: bool,
     ) -> float:
-        """Combined volume multiplier for ``day``.
+        """Combined volume multiplier for ``day`` (see
+        :meth:`daily_multipliers`).
 
-        Phase changes ramp in linearly over :data:`RAMP_DAYS`; dated
-        events apply on top; organic growth accrues from the study
-        start.  ``timeline`` may be any object exposing the
+        ``timeline`` may be any object exposing the
         ``ramp_context``/``phase`` surface — a plain region timeline or
         a scenario-event override wrapper.
         """
-        phase, phase_start, prev_phase = timeline.ramp_context(day)
-        target = self.response.multiplier(phase, weekend)
-        # Ramp from the previous phase's multiplier.
-        if phase_start is not None:
-            days_in = (day - phase_start).days
-            if days_in < RAMP_DAYS:
-                prev = self.response.multiplier(prev_phase, weekend)
-                frac = (days_in + 1) / (RAMP_DAYS + 1)
-                target = prev + (target - prev) * frac
-        for event in self.events:
-            if event.applies(day):
-                target *= event.multiplier
-        growth_days = (day - _dt.date(2020, 1, 1)).days
-        target *= 1.0 + self.annual_growth * growth_days / 365.0
-        return target
+        days = DayContext.over(day, [weekend], timeline)
+        return float(self.daily_multipliers(days)[0])
 
     def shape_name(
         self, day: _dt.date, timeline: LockdownTimeline, weekend: bool
     ) -> str:
         """Diurnal shape name for ``day``."""
-        return self.response.shape_name(timeline.phase(day), weekend)
+        index, names = self.day_shapes(
+            DayContext.over(day, [weekend], timeline)
+        )
+        return names[index[0]]
 
 
 # ---------------------------------------------------------------------------

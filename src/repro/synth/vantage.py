@@ -21,7 +21,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from repro.netbase.asdb import ASRegistry
 from repro.netbase.prefixes import PrefixMap
 from repro.series import HourlySeries
 from repro.synth import diurnal
-from repro.synth.flowgen import FlowSampler
-from repro.synth.profiles import AppProfile
+from repro.synth.flowgen import FlowSampler, PoolTables
+from repro.synth.profiles import AppProfile, DayContext
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,17 @@ class ProfileUse:
             raise ValueError(
                 f"profile share must be positive ({self.profile.name})"
             )
+
+
+def _check_study_range(start_day: _dt.date, end_day: _dt.date) -> None:
+    """Reject a backwards range or one reaching outside the study."""
+    if end_day < start_day:
+        raise ValueError("end_day precedes start_day")
+    if start_day < timebase.STUDY_START or end_day > timebase.STUDY_END:
+        raise ValueError(
+            f"range {start_day}..{end_day} lies outside the study period "
+            f"{timebase.STUDY_START}..{timebase.STUDY_END}"
+        )
 
 
 def _stable_hash(*parts: object) -> int:
@@ -105,6 +116,8 @@ class VantagePoint:
         self._hour_noise_sigma = hour_noise_sigma
         self._day_noise_sigma = day_noise_sigma
         self._noise_cache: Dict[str, np.ndarray] = {}
+        self._pool_tables = PoolTables()
+        self._study_days: Optional[Tuple[DayContext, np.ndarray]] = None
 
     # -- intensity model -------------------------------------------------------
 
@@ -134,6 +147,30 @@ class VantagePoint:
             self._noise_cache[profile_name] = noise
         return noise
 
+    def _study_context(self) -> Tuple[DayContext, np.ndarray]:
+        """The study period's day context and WFH attenuation (cached).
+
+        Neither depends on the profile, so one pass over the calendar
+        serves every profile and every range.
+        """
+        if self._study_days is None:
+            world = self.world
+            days = list(timebase.iter_days())
+            weekend_like = (
+                timebase.behaves_like_weekend if world is None
+                else world.behaves_like_weekend
+            )
+            weekend = [weekend_like(day, self.region) for day in days]
+            attenuation = np.array([
+                0.0 if world is None else world.wfh_attenuation(day, self.name)
+                for day in days
+            ])
+            context = DayContext.over(
+                timebase.STUDY_START, weekend, self.timeline
+            )
+            self._study_days = (context, attenuation)
+        return self._study_days
+
     def profile_volumes(
         self,
         profile_name: str,
@@ -142,7 +179,8 @@ class VantagePoint:
     ) -> HourlySeries:
         """Hourly volume (model units) of one profile over a date range.
 
-        ``end_day`` is inclusive.  One model unit corresponds to
+        ``end_day`` is inclusive and the range must lie inside the study
+        period.  One model unit corresponds to
         :data:`repro.synth.flowgen.BYTES_PER_UNIT` bytes in sampled
         flows.
         """
@@ -151,37 +189,36 @@ class VantagePoint:
             raise KeyError(
                 f"profile {profile_name!r} not in vantage {self.name}"
             )
-        if end_day < start_day:
-            raise ValueError("end_day precedes start_day")
+        _check_study_range(start_day, end_day)
         profile = use.profile
-        world = self.world
+        first = timebase.date_to_day_index(start_day)
         n_days = (end_day - start_day).days + 1
-        values = np.empty(n_days * 24, dtype=np.float64)
-        day = start_day
-        for i in range(n_days):
-            if world is None:
-                weekend = timebase.behaves_like_weekend(day, self.region)
-            else:
-                weekend = world.behaves_like_weekend(day, self.region)
-            mult = profile.daily_multiplier(day, self.timeline, weekend)
-            if world is not None:
-                # Scenario events modulate the phase response.  Both
-                # hooks return exact identities in the default world, so
-                # the guards keep the no-event path bit-identical.
-                modifier = world.volume_modifier(
-                    day, self.name, profile_name
+        study, attenuation = self._study_context()
+        days = study.slice(first, first + n_days)
+        mult = profile.daily_multipliers(days)
+        world = self.world
+        if world is not None:
+            # Scenario events modulate the phase response.  Both hooks
+            # are exact identities in the default world, so skipping
+            # them keeps the no-event path bit-identical.
+            if world.has_volume_events:
+                days_in_range = timebase.iter_days(start_day, end_day)
+                for i, day in enumerate(days_in_range):
+                    modifier = world.volume_modifier(
+                        day, self.name, profile_name
+                    )
+                    if modifier != 1.0:
+                        mult[i] *= modifier
+            damping = attenuation[first : first + n_days]
+            damped = damping > 0.0
+            if damped.any():
+                mult[damped] = 1.0 + (mult[damped] - 1.0) * (
+                    1.0 - damping[damped]
                 )
-                if modifier != 1.0:
-                    mult *= modifier
-                attenuation = world.wfh_attenuation(day, self.name)
-                if attenuation > 0.0:
-                    mult = 1.0 + (mult - 1.0) * (1.0 - attenuation)
-            shape = diurnal.get_shape(
-                profile.shape_name(day, self.timeline, weekend)
-            )
-            daily = self.base_daily_volume * use.share * mult
-            values[i * 24 : (i + 1) * 24] = daily / 24.0 * shape
-            day += _dt.timedelta(days=1)
+        index, names = profile.day_shapes(days)
+        shapes = np.stack([diurnal.get_shape(name) for name in names])
+        daily = self.base_daily_volume * use.share * mult
+        values = ((daily / 24.0)[:, None] * shapes[index]).reshape(-1)
         start_hour = timebase.hour_index(start_day, 0)
         noise = self._noise_for(profile_name)[
             start_hour : start_hour + n_days * 24
@@ -219,6 +256,7 @@ class VantagePoint:
             seed=_stable_hash(self.seed, self.name, "flows", stream),
             vpn_gateway_ips=self._vpn_gateway_ips,
             edu_internal_asns=self._edu_internal,
+            tables=self._pool_tables,
         )
 
     def generate_flows(
@@ -234,6 +272,7 @@ class VantagePoint:
         integer rounding.  Repeated calls with identical arguments
         return identical tables.
         """
+        _check_study_range(start_day, end_day)
         names = sorted(profiles) if profiles is not None else self.profile_names()
         stream = _stable_hash(
             start_day.toordinal(), end_day.toordinal(), fidelity, *names

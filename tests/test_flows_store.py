@@ -7,7 +7,13 @@ import pytest
 
 from repro import timebase
 from repro.core.streaming import StreamingAggregator
-from repro.flows.store import FORMAT_V1, FORMAT_V3, FlowStore, FlowStoreError
+from repro.flows.store import (
+    FORMAT_V1,
+    FORMAT_V2,
+    FORMAT_V3,
+    FlowStore,
+    FlowStoreError,
+)
 from repro.flows.table import COLUMNS, FlowTable
 
 
@@ -250,6 +256,59 @@ class TestRangeEdgeCases:
         assert store.day_flows(day) == len(store.read_day(day))
         with pytest.raises(KeyError):
             store.day_flows(dt.date(2020, 1, 1))
+
+
+def per_day_masked_writes(store, flows, start_day, end_day, fmt=None):
+    """The masked per-day ``write_day`` loop ``write_range`` replaced."""
+    hours = flows.column("hour")
+    for day in timebase.iter_days(start_day, end_day):
+        day_start = timebase.hour_index(day, 0)
+        mask = (hours >= day_start) & (hours < day_start + 24)
+        store.write_day(day, flows.filter(mask), partition_format=fmt)
+
+
+def tree_bytes(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+class TestWriteRangeSlices:
+    """``write_range`` seals exactly what per-day masked writes seal."""
+
+    START, END = dt.date(2020, 2, 19), dt.date(2020, 2, 21)
+
+    def inputs(self, three_day_flows):
+        order = np.random.default_rng(5).permutation(len(three_day_flows))
+        shuffled = FlowTable({
+            name: col[order] for name, col in three_day_flows.columns.items()
+        })
+        # "out-of-range" covers only the input's middle day, so the
+        # other two days' rows fall outside it; "empty-days" reaches
+        # past the input on both sides.
+        return {
+            "hour-sorted": (three_day_flows, self.START, self.END),
+            "shuffled": (shuffled, self.START, self.END),
+            "out-of-range": (shuffled, self.START + dt.timedelta(days=1),
+                             self.START + dt.timedelta(days=1)),
+            "empty-days": (three_day_flows, self.START - dt.timedelta(days=2),
+                           self.END + dt.timedelta(days=1)),
+        }
+
+    @pytest.mark.parametrize("fmt", [None, FORMAT_V2])
+    @pytest.mark.parametrize(
+        "case", ["hour-sorted", "shuffled", "out-of-range", "empty-days"])
+    def test_files_and_manifest_byte_identical(
+            self, tmp_path, three_day_flows, case, fmt):
+        flows, start, end = self.inputs(three_day_flows)[case]
+        sliced = FlowStore(tmp_path / "sliced")
+        written = sliced.write_range(flows, start, end, partition_format=fmt)
+        masked = FlowStore(tmp_path / "masked")
+        per_day_masked_writes(masked, flows, start, end, fmt)
+        assert written == (end - start).days + 1
+        assert tree_bytes(sliced.root) == tree_bytes(masked.root)
+        assert sliced.state_token() == masked.state_token()
 
 
 class TestIntegrity:

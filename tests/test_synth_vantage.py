@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro import timebase
+from repro.synth import diurnal
+from repro.synth import events as ev
 from repro.synth.flowgen import BYTES_PER_UNIT
+from repro.synth.profiles import RAMP_DAYS
+from repro.synth.scenario import build_scenario
+from repro.synth.spec import ScenarioSpec
+from repro.synth.vantage import VantagePoint
 
 
 class TestIntensityModel:
@@ -160,3 +166,143 @@ class TestVantageValidation:
                 prefix_map=scenario.prefix_map,
                 local_eyeball_asns=[1], seed=0,
             )
+
+
+def per_day_multiplier(profile, day, timeline, weekend):
+    """The scalar ramp/event/growth rule (reference)."""
+    phase, phase_start, prev_phase = timeline.ramp_context(day)
+    target = profile.response.multiplier(phase, weekend)
+    if phase_start is not None:
+        days_in = (day - phase_start).days
+        if days_in < RAMP_DAYS:
+            prev = profile.response.multiplier(prev_phase, weekend)
+            frac = (days_in + 1) / (RAMP_DAYS + 1)
+            target = prev + (target - prev) * frac
+    for event in profile.events:
+        if event.applies(day):
+            target *= event.multiplier
+    growth_days = (day - dt.date(2020, 1, 1)).days
+    target *= 1.0 + profile.annual_growth * growth_days / 365.0
+    return target
+
+
+def per_day_volumes(vantage, profile_name, start_day, end_day):
+    """The per-day ``profile_volumes`` loop (reference)."""
+    use = vantage.mix[profile_name]
+    profile, world = use.profile, vantage.world
+    n_days = (end_day - start_day).days + 1
+    values = np.empty(n_days * 24, dtype=np.float64)
+    for i, day in enumerate(timebase.iter_days(start_day, end_day)):
+        if world is None:
+            weekend = timebase.behaves_like_weekend(day, vantage.region)
+        else:
+            weekend = world.behaves_like_weekend(day, vantage.region)
+        mult = per_day_multiplier(profile, day, vantage.timeline, weekend)
+        if world is not None:
+            modifier = world.volume_modifier(day, vantage.name, profile_name)
+            if modifier != 1.0:
+                mult *= modifier
+            attenuation = world.wfh_attenuation(day, vantage.name)
+            if attenuation > 0.0:
+                mult = 1.0 + (mult - 1.0) * (1.0 - attenuation)
+        shape = diurnal.get_shape(profile.response.shape_name(
+            vantage.timeline.phase(day), weekend))
+        daily = vantage.base_daily_volume * use.share * mult
+        values[i * 24 : (i + 1) * 24] = daily / 24.0 * shape
+    start_hour = timebase.hour_index(start_day, 0)
+    noise = vantage._noise_for(profile_name)[
+        start_hour : start_hour + n_days * 24
+    ]
+    return values * noise
+
+
+def event_scenario():
+    D = dt.date
+    return build_scenario(spec=ScenarioSpec(
+        name="volume-events", n_enterprise=20, n_hosting=5,
+        events=(
+            ev.SecondWave(timebase.Region.CENTRAL_EUROPE,
+                          D(2020, 4, 27), D(2020, 5, 6)),
+            ev.WFHReversal(ev.Envelope(D(2020, 4, 20), ramp_days=5,
+                                       plateau_days=10, decay_days=4)),
+            ev.DemandShift(ev.Envelope(D(2020, 3, 1), ramp_days=3,
+                                       plateau_days=5, decay_days=2),
+                           magnitude=1.7, vantages=("isp-ce", "edu")),
+            ev.Holiday(D(2020, 2, 10), D(2020, 2, 12)),
+        ),
+    ))
+
+
+class TestVectorizedIntensity:
+    """``profile_volumes`` equals the per-day loop, bit for bit."""
+
+    def assert_matches_loop(self, vantage, start, end):
+        for name in vantage.profile_names():
+            got = vantage.profile_volumes(name, start, end)
+            assert got.start_hour == timebase.hour_index(start, 0)
+            want = per_day_volumes(vantage, name, start, end)
+            assert np.array_equal(got.values, want), (vantage.name, name)
+
+    def test_default_world_whole_study(self, scenario):
+        for vantage in scenario.vantages.values():
+            self.assert_matches_loop(
+                vantage, timebase.STUDY_START, timebase.STUDY_END
+            )
+
+    def test_event_world_whole_study_and_subrange(self):
+        scenario = event_scenario()
+        assert scenario.isp_ce.world.has_volume_events
+        for vantage in scenario.vantages.values():
+            self.assert_matches_loop(
+                vantage, timebase.STUDY_START, timebase.STUDY_END
+            )
+        self.assert_matches_loop(
+            scenario.isp_ce, dt.date(2020, 4, 25), dt.date(2020, 5, 2)
+        )
+
+    def test_vantage_without_world(self, scenario):
+        vantage = VantagePoint(
+            name="bare", kind="isp", region=timebase.Region.SOUTHERN_EUROPE,
+            mix=scenario.isp_ce.mix, base_daily_volume=123.0,
+            registry=scenario.registry, prefix_map=scenario.prefix_map,
+            local_eyeball_asns=[3320], seed=5,
+        )
+        self.assert_matches_loop(
+            vantage, timebase.STUDY_START, timebase.STUDY_END
+        )
+
+    def test_one_day_calls_match_the_rule(self, scenario):
+        timeline = scenario.isp_ce.timeline
+        for use in scenario.isp_ce.mix.values():
+            for day in timebase.iter_days(dt.date(2020, 3, 8),
+                                          dt.date(2020, 3, 24)):
+                for weekend in (False, True):
+                    assert use.profile.daily_multiplier(
+                        day, timeline, weekend
+                    ) == per_day_multiplier(
+                        use.profile, day, timeline, weekend)
+                    assert use.profile.shape_name(
+                        day, timeline, weekend
+                    ) == use.profile.response.shape_name(
+                        timeline.phase(day), weekend)
+
+
+class TestStudyBounds:
+    @pytest.mark.parametrize("start, end", [
+        (dt.date(2019, 12, 30), dt.date(2020, 1, 5)),
+        (dt.date(2020, 5, 12), dt.date(2020, 5, 18)),
+        (dt.date(2019, 6, 1), dt.date(2019, 6, 7)),
+    ])
+    def test_range_outside_study_raises(self, scenario, start, end):
+        with pytest.raises(ValueError, match="2020-01-01..2020-05-17"):
+            scenario.isp_ce.profile_volumes("quic", start, end)
+        with pytest.raises(ValueError, match="2020-01-01..2020-05-17"):
+            scenario.isp_ce.generate_flows(start, end, fidelity=0.1)
+
+    def test_study_edges_are_inside(self, scenario):
+        first = scenario.isp_ce.profile_volumes(
+            "quic", timebase.STUDY_START, timebase.STUDY_START)
+        last = scenario.isp_ce.profile_volumes(
+            "quic", timebase.STUDY_END, timebase.STUDY_END)
+        assert len(first.values) == len(last.values) == 24
+        assert last.start_hour == timebase.STUDY_HOURS - 24
