@@ -10,10 +10,20 @@ Public API:
   remains as a compatibility shim over the same surface),
 * :mod:`repro.flows` / :mod:`repro.netbase` / :mod:`repro.dns` — the
   substrates (flow tables, network metadata, domain corpus).
+
+``Scenario`` and ``build_scenario`` are exported lazily (PEP 562): the
+first access imports :mod:`repro.synth.scenario`, so importing a
+subpackage such as :mod:`repro.obs` or :mod:`repro.query` does not
+import the synthetic world's modules.
 """
 
 __version__ = "1.0.0"
 
-from repro.synth import Scenario, build_scenario
+from repro._lazy import lazy_exports
 
 __all__ = ["Scenario", "build_scenario", "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Scenario": "repro.synth.scenario",
+    "build_scenario": "repro.synth.scenario",
+})

@@ -20,6 +20,13 @@ Subcommands:
 
 ``--log-level`` (global) routes structured JSON log events — e.g.
 failed experiment checks — to stderr.
+
+Each subcommand imports what it runs inside its handler, so a cold
+``query``, ``serve`` or ``store`` invocation loads numpy,
+:mod:`repro.obs`, :mod:`repro.flows` and :mod:`repro.query` only — not
+the experiment registry (and scipy behind it) or the synthetic world.
+:func:`run_experiment` and :func:`build_scenario` are this module's
+call-through seams for those layers; tests patch them.
 """
 
 from __future__ import annotations
@@ -31,20 +38,13 @@ import logging
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import repro.obs as obs
-from repro.flows import io as flow_io
-from repro.experiments import make_executor
-from repro.pipeline import (
-    EXPERIMENTS,
-    ExperimentResult,
-    PipelineConfig,
-    run_all,
-    run_experiment,
-)
-from repro.synth import datasets
-from repro.synth.scenario import DEFAULT_SEED, build_scenario
+from repro.synth.spec import DEFAULT_SEED
+
+if TYPE_CHECKING:
+    from repro.experiments import ExperimentResult
 
 #: Paper-reported reference values shown next to measurements in the
 #: report (experiment id -> {metric: description}).
@@ -86,6 +86,20 @@ PAPER_REFERENCE = {
 }
 
 
+def run_experiment(experiment_id, scenario=None, config=None):
+    """:func:`repro.experiments.run_experiment`, imported on first use."""
+    from repro.experiments import run_experiment as run
+
+    return run(experiment_id, scenario, config)
+
+
+def build_scenario(seed: int = DEFAULT_SEED):
+    """:func:`repro.synth.scenario.build_scenario`, imported on first use."""
+    from repro.synth.scenario import build_scenario as build
+
+    return build(seed=seed)
+
+
 def _print_result(result: ExperimentResult, verbose: bool) -> None:
     marker = "PASS" if result.passed else "FAIL"
     print(f"== {result.experiment_id}: {result.title} [{marker}]")
@@ -101,6 +115,8 @@ def _print_result(result: ExperimentResult, verbose: bool) -> None:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS
+
     for experiment_id, runner in EXPERIMENTS.items():
         doc = (runner.__doc__ or "").strip().splitlines()[0]
         print(f"{experiment_id:8s} {doc}")
@@ -110,6 +126,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _run_serial(
     ids: List[str], scenario, config, logger, verbose: bool
 ) -> List[ExperimentResult]:
+    from repro.experiments import ExperimentResult
+
     results = []
     for experiment_id in ids:
         try:
@@ -130,6 +148,14 @@ def _run_serial(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments import (
+        EXPERIMENTS,
+        PipelineConfig,
+        make_executor,
+        run_all,
+    )
+    from repro.synth import datasets
+
     ids = args.experiments or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
@@ -222,6 +248,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
         Experiment,
+        PipelineConfig,
         format_grid_manifest,
         load_grid,
     )
@@ -286,6 +313,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS, PipelineConfig
+
     config = PipelineConfig.fast() if args.fast else PipelineConfig()
     scenario = build_scenario(seed=args.seed)
     lines: List[str] = [
@@ -322,6 +351,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _load_trace(path: str):
+    from repro.flows import io as flow_io
+
     if path.endswith(".npz"):
         return flow_io.read_npz(path)
     return flow_io.read_csv(path)
@@ -386,10 +417,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.core import appclass
     from repro.report.tables import render_table
 
-    if args.trace.endswith(".npz"):
-        flows = flow_io.read_npz(args.trace)
-    else:
-        flows = flow_io.read_csv(args.trace)
+    flows = _load_trace(args.trace)
     classes = appclass.standard_classes()
     total = flows.total_bytes() or 1
     rows = []
@@ -452,6 +480,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             f"under {args.store}"
         )
         return 0
+    from repro.flows import io as flow_io
+
     if args.output.endswith(".npz"):
         flow_io.write_npz(flows, args.output)
     else:
@@ -598,7 +628,6 @@ def _parse_where(items: Optional[Sequence[str]]) -> Dict[str, object]:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.query import QueryError, QueryService, QuerySpec
-    from repro.report.tables import render_table
 
     vantage = args.vantage or Path(args.store).name
     try:
@@ -641,6 +670,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 1 if result.n_failed else 0
     from repro.flows.record import proto_name
     from repro.flows.table import transport_label
+    from repro.report.tables import render_table
 
     renderers = {"transport": transport_label, "proto": proto_name}
     header = list(result.key_names) + list(result.aggregates)

@@ -27,24 +27,24 @@ the *current* globals::
 
 Guard work that only computes metric inputs with :func:`enabled` so the
 disabled path stays zero-cost.
+
+The run-manifest names (:mod:`repro.obs.manifest`) and
+:class:`MetricsServer` (:mod:`repro.obs.server`, which pulls in
+``http.server``) are exported lazily (PEP 562), so instrumented code
+importing this package pays for neither.
 """
 
 from __future__ import annotations
 
 from typing import IO, Optional, Union
 
+from repro._lazy import lazy_exports
 from repro.obs.logs import (
     JsonFormatter,
     configure_logging,
     get_logger,
     log_event,
     reset_logging,
-)
-from repro.obs.manifest import (
-    RunManifest,
-    build_manifest,
-    format_manifest,
-    git_sha,
 )
 from repro.obs.metrics import (
     Counter,
@@ -55,7 +55,6 @@ from repro.obs.metrics import (
     Timer,
 )
 from repro.obs.prom import render_registry, render_snapshot
-from repro.obs.server import MetricsServer
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import NullTracer, Span, Tracer
 
@@ -96,6 +95,14 @@ __all__ = [
     "span",
     "timer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "MetricsServer": "repro.obs.server",
+    "RunManifest": "repro.obs.manifest",
+    "build_manifest": "repro.obs.manifest",
+    "format_manifest": "repro.obs.manifest",
+    "git_sha": "repro.obs.manifest",
+})
 
 _registry: MetricsRegistry = NullRegistry()
 _tracer: Tracer = NullTracer()

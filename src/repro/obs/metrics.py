@@ -96,6 +96,13 @@ class Gauge:
         return self._value
 
 
+def nearest_rank(q: float, n: int) -> int:
+    """1-based rank of the ``q`` quantile among ``n`` sorted values:
+    ``ceil(q * n)``, at least 1, with float noise in ``q * n`` (such as
+    ``0.07 * 100 = 7.000000000000001``) rounded away first."""
+    return max(1, math.ceil(round(q * n, 9)))
+
+
 class Histogram:
     """A bounded streaming quantile sketch over log-scale buckets.
 
@@ -111,6 +118,13 @@ class Histogram:
     observation count, so long-running services cannot grow it without
     bound.
 
+    Quantiles are nearest-rank: ``quantile(q)`` is the ``ceil(q * n)``-th
+    smallest observation.  Up to :attr:`EXACT_SAMPLES` observations are
+    also kept verbatim and answered exactly, so a handful of request
+    latencies reports its real p99 (a sketch rank over three samples
+    would hide the slowest); past the cap the samples are dropped and
+    the buckets answer.
+
     Recording takes the instrument lock (a dict update, not an append
     to an ever-growing list), and sketches with equal accuracy merge
     exactly via :meth:`merge` — per-thread histograms fold into one
@@ -118,10 +132,12 @@ class Histogram:
     """
 
     DEFAULT_RELATIVE_ACCURACY = 0.01
+    #: Observations kept verbatim before quantiles come from the buckets.
+    EXACT_SAMPLES = 64
 
     __slots__ = ("name", "relative_accuracy", "_gamma", "_log_gamma",
-                 "_buckets", "_zero_count", "_count", "_sum", "_min",
-                 "_max", "_lock")
+                 "_buckets", "_zero_count", "_samples", "_count", "_sum",
+                 "_min", "_max", "_lock")
 
     def __init__(self, name: str,
                  relative_accuracy: Optional[float] = None):
@@ -136,6 +152,8 @@ class Histogram:
         #: bucket index -> observation count (sparse).
         self._buckets: Dict[int, int] = {}
         self._zero_count = 0
+        #: Every observation while ``_count <= EXACT_SAMPLES``, else None.
+        self._samples: Optional[List[float]] = []
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -168,6 +186,11 @@ class Histogram:
                 self._buckets[index] = self._buckets.get(index, 0) + 1
             else:
                 self._zero_count += 1
+            if self._samples is not None:
+                if self._count <= self.EXACT_SAMPLES:
+                    self._samples.append(value)
+                else:
+                    self._samples = None
 
     def merge(self, other: "Histogram") -> None:
         """Fold ``other``'s observations into this sketch (exactly).
@@ -186,6 +209,9 @@ class Histogram:
         with other._lock:
             buckets = dict(other._buckets)
             zero_count = other._zero_count
+            samples = (
+                None if other._samples is None else list(other._samples)
+            )
             count = other._count
             total = other._sum
             minimum = other._min
@@ -194,6 +220,12 @@ class Histogram:
             for index, n in buckets.items():
                 self._buckets[index] = self._buckets.get(index, 0) + n
             self._zero_count += zero_count
+            if self._samples is not None and count:
+                if samples is not None and \
+                        self._count + count <= self.EXACT_SAMPLES:
+                    self._samples.extend(samples)
+                else:
+                    self._samples = None
             self._count += count
             self._sum += total
             if minimum < self._min:
@@ -229,10 +261,11 @@ class Histogram:
         return len(self._buckets) + (1 if self._zero_count else 0)
 
     def quantile(self, q: float) -> float:
-        """Streaming quantile estimate, ``0 <= q <= 1``.
+        """Nearest-rank quantile, ``0 <= q <= 1``.
 
-        Within ``relative_accuracy`` of the exact rank value, and
-        always clamped into ``[min, max]`` (so ``quantile(0)`` /
+        Exact up to :attr:`EXACT_SAMPLES` observations; past that
+        within ``relative_accuracy`` of the exact rank value.  Always
+        clamped into ``[min, max]`` (so ``quantile(0)`` /
         ``quantile(1)`` are exact).
         """
         if not 0.0 <= q <= 1.0:
@@ -249,13 +282,15 @@ class Histogram:
             return self._min
         if q == 1.0:
             return self._max
-        rank = q * (self._count - 1)
+        rank = nearest_rank(q, self._count)
+        if self._samples is not None:
+            return sorted(self._samples)[rank - 1]
         estimate = 0.0
         cumulative = self._zero_count
-        if rank >= cumulative:
+        if rank > cumulative:
             for index in sorted(self._buckets):
                 cumulative += self._buckets[index]
-                if rank < cumulative:
+                if rank <= cumulative:
                     estimate = self._value_at(index)
                     break
         return max(self._min, min(self._max, estimate))

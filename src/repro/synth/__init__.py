@@ -21,10 +21,13 @@ model (DESIGN.md §2):
 
 The analysis code never reads these models' parameters; it sees only
 flows and hourly aggregates, and must re-derive the planted shifts.
+
+The names below are exported lazily (PEP 562): importing one submodule
+(say :mod:`repro.synth.spec` for ``DEFAULT_SEED``) does not import
+:mod:`repro.synth.scenario` and the network/DNS substrates behind it.
 """
 
-from repro.synth.scenario import Scenario, build_scenario
-from repro.synth.spec import Expectation, ScenarioSpec, spec_from_dict
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Expectation",
@@ -33,3 +36,11 @@ __all__ = [
     "build_scenario",
     "spec_from_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Expectation": "repro.synth.spec",
+    "Scenario": "repro.synth.scenario",
+    "ScenarioSpec": "repro.synth.spec",
+    "build_scenario": "repro.synth.scenario",
+    "spec_from_dict": "repro.synth.spec",
+})

@@ -451,7 +451,8 @@ class DatasetCache:
     def fetch(self, scenario, request: DatasetRequest):
         """The data for ``request``, materializing on first use."""
         if not self.enabled:
-            self.stats.bypasses += 1
+            with self._lock:
+                self.stats.bypasses += 1
             obs.get_registry().counter("dataset-cache.bypasses").inc()
             return _materialize(scenario, request)
         key = self._key(scenario, request)

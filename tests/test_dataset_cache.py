@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import datetime as dt
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +90,41 @@ class TestCacheBehavior:
             "hits": 0, "misses": 0, "bypasses": 2,
             "entries": 0, "resident_bytes": 0,
         }
+
+    def test_disabled_cache_counts_concurrent_bypasses(
+        self, monkeypatch, request_base
+    ):
+        class YieldingStats(datasets.CacheStats):
+            """Yields the GIL after every read of ``bypasses``, so an
+            unlocked ``+= 1`` loses increments to other threads."""
+
+            def __getattribute__(self, name):
+                value = super().__getattribute__(name)
+                if name == "bypasses":
+                    time.sleep(0)
+                return value
+
+        monkeypatch.setattr(
+            datasets, "_materialize", lambda scenario, request: request
+        )
+        cache = DatasetCache(enabled=False)
+        cache.stats = YieldingStats()
+        n_threads, calls = 8, 500
+
+        def fetch_many():
+            for _ in range(calls):
+                cache.fetch(None, request_base)
+
+        workers = [
+            threading.Thread(target=fetch_many) for _ in range(n_threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert cache.stats.bypasses == n_threads * calls
+        assert cache.stats.hits == cache.stats.misses == 0
 
     def test_clear_drops_entries(self, scenario, request_base):
         cache = DatasetCache()

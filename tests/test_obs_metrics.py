@@ -5,6 +5,7 @@ import math
 import random
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -216,6 +217,98 @@ class TestStreamingHistogram:
             target.merge(h)
         assert target.count == 25_000
         assert not math.isnan(target.quantile(0.5))
+
+
+def _nearest_rank(values, q):
+    """Sorted-reference nearest-rank quantile, rank computed on the
+    decimal ``q`` exactly."""
+    ordered = sorted(values)
+    rank = max(1, math.ceil(Fraction(str(q)) * len(ordered)))
+    return ordered[rank - 1]
+
+
+QUANTILES = (0.01, 0.07, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
+
+
+class TestSmallSampleQuantiles:
+    """Exact nearest-rank answers up to ``EXACT_SAMPLES`` observations."""
+
+    def test_three_latencies_report_the_outlier(self):
+        h = metrics.Histogram("h")
+        for v in (0.045, 0.052, 0.311):
+            h.record(v)
+        snap = h.snapshot()
+        assert snap["p50"] == 0.052
+        assert snap["p90"] == 0.311
+        assert snap["p99"] == 0.311
+
+    def test_one_to_ten(self):
+        h = metrics.Histogram("h")
+        for v in range(1, 11):
+            h.record(v)
+        assert h.quantile(0.5) == 5
+        assert h.quantile(0.9) == 9
+        assert h.quantile(0.99) == 10
+
+    def test_matches_sorted_reference_for_n_up_to_100(self):
+        rng = random.Random(20200316)
+        alpha = metrics.Histogram.DEFAULT_RELATIVE_ACCURACY
+        for n in range(1, 101):
+            values = [rng.lognormvariate(-2.0, 1.0) for _ in range(n)]
+            h = metrics.Histogram("h")
+            for v in values:
+                h.record(v)
+            assert h.quantile(0.0) == min(values)
+            assert h.quantile(1.0) == max(values)
+            for q in QUANTILES:
+                expected = _nearest_rank(values, q)
+                if n <= metrics.Histogram.EXACT_SAMPLES:
+                    assert h.quantile(q) == expected, (n, q)
+                else:
+                    assert h.quantile(q) == pytest.approx(
+                        expected, rel=alpha
+                    ), (n, q)
+
+    def test_zero_values_ranked_exactly(self):
+        h = metrics.Histogram("h")
+        for v in (0.0, 0.0, 3.0, -1.0):
+            h.record(v)
+        assert h.quantile(0.25) == -1.0
+        assert h.quantile(0.5) == 0.0
+        assert h.quantile(0.75) == 0.0
+        assert h.quantile(0.9) == 3.0
+
+    @pytest.mark.parametrize("sizes", [
+        (0, 10), (3, 4), (30, 34), (30, 35), (70, 5), (5, 70), (80, 90),
+    ])
+    def test_merge_equals_single_stream_in_both_states(self, sizes):
+        rng = random.Random(sum(sizes))
+        parts = [
+            [rng.lognormvariate(0.0, 1.5) for _ in range(size)]
+            for size in sizes
+        ]
+        whole = metrics.Histogram("whole")
+        merged = metrics.Histogram("merged")
+        for values in parts:
+            part = metrics.Histogram("part")
+            for v in values:
+                whole.record(v)
+                part.record(v)
+            merged.merge(part)
+        assert merged.count == whole.count
+        for q in QUANTILES:
+            assert merged.quantile(q) == whole.quantile(q), q
+
+    def test_records_after_an_exact_merge_stay_exact(self):
+        a, b = metrics.Histogram("a"), metrics.Histogram("b")
+        for v in (5.0, 1.0):
+            a.record(v)
+        b.record(3.0)
+        a.merge(b)
+        a.record(4.0)
+        assert [a.quantile(q) for q in (0.25, 0.5, 0.75, 1.0)] == [
+            1.0, 3.0, 4.0, 5.0,
+        ]
 
 
 class TestTimer:
