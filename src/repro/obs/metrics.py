@@ -96,7 +96,7 @@ class Gauge:
         return self._value
 
 
-def nearest_rank(q: float, n: int) -> int:
+def _nearest_rank(q: float, n: int) -> int:
     """1-based rank of the ``q`` quantile among ``n`` sorted values:
     ``ceil(q * n)``, at least 1, with float noise in ``q * n`` (such as
     ``0.07 * 100 = 7.000000000000001``) rounded away first."""
@@ -282,7 +282,7 @@ class Histogram:
             return self._min
         if q == 1.0:
             return self._max
-        rank = nearest_rank(q, self._count)
+        rank = _nearest_rank(q, self._count)
         if self._samples is not None:
             return sorted(self._samples)[rank - 1]
         estimate = 0.0
