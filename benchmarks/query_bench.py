@@ -12,27 +12,17 @@ three ways —
 * ``warm`` — the same batch replayed on the warm service (every query
   served from the LRU result cache),
 
-then times a **projection sweep**: one narrow query shape (``proto``
-grouping over ``n_bytes`` — 10 of a row's 66 bytes) replayed directly
-through the engine against the same flows stored as v1 ``.npz``
-archives (``narrow-v1``) and as a migrated v2 columnar store
-(``narrow-v2``, mmap + column projection), with the migration itself
-timed as ``migrate-v2``.  Both narrow sweeps are warm (a cold pass
-primes the page cache first), so the ratio isolates partition I/O:
-decompress-everything versus map-two-columns.
-
-An **encoding sweep** then replays a selective filtered batch
-(equality and membership predicates on the dictionary-encoded
-``proto`` column) against the same store as v2 (``filtered-v2``) and
-after a timed ``migrate-v3`` as v3 (``filtered-v3``): the v3 scan
-resolves predicates on dictionary codes and bitmap index rows before
-materializing any row data, so it must read fewer bytes and — under
-``--fail-on-regression`` — run at least 2x the v2 sweep.  Per-column
-on-disk totals from ``FlowStore.column_stats`` land in the recorded
-``colstore`` block.
+then times an **encoding sweep**: a selective filtered batch (equality
+and membership predicates on the dictionary-encoded ``proto`` column)
+replayed warm, directly through the engine (``filtered-v3``).  The
+predicate-first scan resolves predicates on dictionary codes and bitmap
+index rows before materializing any row data, so the sweep must read
+fewer bytes than a plain scan of every referenced column over the same
+planned partitions would.  Per-column on-disk totals from
+``FlowStore.column_stats`` land in the recorded ``colstore`` block.
 
 A final **scaling sweep** replays one scan-heavy multi-vantage batch
-(the mixed shapes over the v2 ``isp-ce`` store plus a second,
+(the mixed shapes over the ``isp-ce`` store plus a second,
 lower-fidelity ``edu`` store) directly through the engine three ways:
 ``scale-serial`` (no pool), ``scale-threads`` (the per-partition
 thread pool, GIL-bound), and ``scale-procs`` (the process-backed
@@ -48,13 +38,11 @@ The script appends one entry to ``BENCH_results.json`` in the repo's
 ``{"runs": [...]}`` history format.  The script exits non-zero — and
 records ``exit_status`` — if the one-worker and four-worker sweeps
 disagree on any result row, if any partition fails, if the warm
-replay misses the cache, or if the v1 and v2 narrow sweeps disagree
-on rows or the v2 sweep reads more than its referenced columns, so a
-concurrency- or format-induced wrong answer cannot be recorded as a
-"fast" result.  ``--fail-on-regression`` additionally compares the
-warm-cache and narrow-v2 sweeps against the latest recorded baselines
-at the same fidelity, and requires the v2 narrow sweep to run at
-least twice as fast as the v1 one.
+replay misses the cache, or if the filtered sweep reads no fewer bytes
+than a plain scan, so a concurrency-induced wrong answer cannot be
+recorded as a "fast" result.  ``--fail-on-regression`` additionally
+compares the warm-cache and filtered sweeps against the latest
+recorded baselines at the same fidelity.
 
 Usage::
 
@@ -82,12 +70,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.flows.store import (  # noqa: E402
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
-    FlowStore,
-)
+from repro.flows.store import FlowStore  # noqa: E402
 import repro.obs as obs  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.query import (  # noqa: E402
@@ -95,6 +78,7 @@ from repro.query import (  # noqa: E402
     QuerySpec,
     execute_query,
     make_scan_pool,
+    plan_query,
 )
 from repro.synth.scenario import build_scenario  # noqa: E402
 
@@ -163,37 +147,14 @@ def _scale_specs(vantage: str, n_repeats: int) -> List[QuerySpec]:
     return specs
 
 
-#: The narrow shape: 2 of 11 columns, so a projected v2 scan maps
-#: ~10 of each row's 66 bytes.  Results report loaded columns in
-#: sorted order.
-NARROW_COLUMNS = ("n_bytes", "proto")
-
-
-def _narrow_batch(n_repeats: int) -> List[QuerySpec]:
-    """Per-week per-protocol byte totals — the projection-friendly shape."""
-    specs: List[QuerySpec] = []
-    day = START
-    for _ in range(4 * n_repeats):
-        week_end = min(day + _dt.timedelta(days=6), END)
-        specs.append(
-            QuerySpec.build(
-                VANTAGE, day, week_end,
-                group_by=["proto"], aggregates=["bytes"],
-            )
-        )
-        day += _dt.timedelta(days=7)
-        if day > END:
-            day = START + _dt.timedelta(days=1)
-    return specs
-
-
 def _filtered_batch(n_repeats: int) -> List[QuerySpec]:
-    """Selective predicate shapes — the v3 bitmap/dictionary sweep.
+    """Selective predicate shapes — the bitmap/dictionary sweep.
 
     Equality and membership predicates on the dictionary-encoded
-    ``proto`` column: v2 must map and verify every referenced raw
-    segment before masking, v3 resolves the predicate on dictionary
-    codes and bitmap rows and gathers only the surviving rows.
+    ``proto`` column: a plain scan would decode every referenced column
+    before masking; the predicate-first scan resolves the predicate on
+    dictionary codes and bitmap rows and gathers only the surviving
+    rows.
     """
     specs: List[QuerySpec] = []
     day = START
@@ -324,89 +285,32 @@ def main(argv=None) -> int:
                 f"{misses_expected} distinct executions"
             )
 
-        # Projection sweep: same flows, same narrow batch, v1 archives
-        # vs. the migrated v2 columnar store.  Cold passes prime the
-        # page cache so the timed passes compare steady-state I/O.
-        narrow = _narrow_batch(n_repeats)
-        format_store = FlowStore(Path(tmp) / f"{VANTAGE}-fmt")
-        format_store.write_range(
-            flows, START, END, partition_format=FORMAT_V1
-        )
-        _direct_sweep(format_store, narrow)
-        v1_results, walls[f"{KEY}[narrow-v1]"] = _direct_sweep(
-            format_store, narrow
-        )
-        t0 = time.perf_counter()
-        format_store.migrate(FORMAT_V2)
-        walls[f"{KEY}[migrate-v2]"] = time.perf_counter() - t0
-        _direct_sweep(format_store, narrow)
-        v2_results, walls[f"{KEY}[narrow-v2]"] = _direct_sweep(
-            format_store, narrow
-        )
-
-        if _rows(v1_results) != _rows(v2_results):
-            problems.append("narrow-v2 rows differ from narrow-v1")
-        overdrawn = {
-            r.columns_loaded
-            for r in v2_results
-            if r.columns_loaded != NARROW_COLUMNS
-        }
-        if overdrawn:
-            problems.append(
-                f"v2 narrow sweep loaded {sorted(overdrawn)} instead of "
-                f"only the referenced columns {NARROW_COLUMNS}"
-            )
-        v1_bytes = sum(r.bytes_read for r in v1_results)
-        v2_bytes = sum(r.bytes_read for r in v2_results)
-        if not 0 < v2_bytes < v1_bytes:
-            problems.append(
-                f"v2 narrow sweep read {v2_bytes} bytes vs. v1's "
-                f"{v1_bytes}; projection is not reducing I/O"
-            )
-        speedup = (
-            walls[f"{KEY}[narrow-v1]"] / walls[f"{KEY}[narrow-v2]"]
-        )
-        print(
-            f"projection: {len(narrow)} narrow queries read "
-            f"{v2_bytes:,} bytes on v2 vs. {v1_bytes:,} on v1 and run "
-            f"{speedup:.2f}x the v1 sweep"
-        )
-        if args.fail_on_regression and speedup < 2.0:
-            problems.append(
-                f"v2 narrow sweep only {speedup:.2f}x faster than v1 "
-                f"(the columnar format should clear 2x)"
-            )
-
-        # Encoding sweep: the same flows migrated v2 → v3, replaying a
-        # selective filtered batch on both.  v2 maps full raw segments
-        # and masks; v3 answers the predicate on dictionary codes and
-        # bitmap index rows before materializing anything.
+        # Encoding sweep: a selective filtered batch, replayed warm (a
+        # cold pass primes the page cache).  The bitmap/dictionary scan
+        # must read fewer bytes than a plain scan of every referenced
+        # column over the same planned partitions.
         filtered = _filtered_batch(n_repeats)
-        _direct_sweep(format_store, filtered)
-        fv2_results, walls[f"{KEY}[filtered-v2]"] = _direct_sweep(
-            format_store, filtered
+        _direct_sweep(store, filtered)
+        filtered_results, walls[f"{KEY}[filtered-v3]"] = _direct_sweep(
+            store, filtered
         )
-        t0 = time.perf_counter()
-        format_store.migrate(FORMAT_V3)
-        walls[f"{KEY}[migrate-v3]"] = time.perf_counter() - t0
-        _direct_sweep(format_store, filtered)
-        fv3_results, walls[f"{KEY}[filtered-v3]"] = _direct_sweep(
-            format_store, filtered
-        )
-
-        if _rows(fv2_results) != _rows(fv3_results):
-            problems.append("filtered-v3 rows differ from filtered-v2")
-        fv2_bytes = sum(r.bytes_read for r in fv2_results)
-        fv3_bytes = sum(r.bytes_read for r in fv3_results)
-        if not 0 < fv3_bytes < fv2_bytes:
-            problems.append(
-                f"v3 filtered sweep read {fv3_bytes} bytes vs. v2's "
-                f"{fv2_bytes}; predicate pushdown is not reducing I/O"
+        if sum(r.n_failed for r in filtered_results):
+            problems.append("filtered sweep had failed partitions")
+        filtered_bytes = sum(r.bytes_read for r in filtered_results)
+        plain_bytes = sum(
+            store.open_partition(day).column_nbytes(
+                spec.referenced_columns()
             )
-        v3_speedup = (
-            walls[f"{KEY}[filtered-v2]"] / walls[f"{KEY}[filtered-v3]"]
+            for spec in filtered
+            for day in plan_query(store, spec).days
         )
-        column_stats = format_store.column_stats()
+        if not 0 < filtered_bytes < plain_bytes:
+            problems.append(
+                f"filtered sweep read {filtered_bytes} bytes vs. "
+                f"{plain_bytes} for a plain scan; predicate pushdown is "
+                f"not reducing I/O"
+            )
+        column_stats = store.column_stats()
         stored_ratio = (
             sum(int(e["stored_nbytes"]) for e in column_stats.values())
             / max(1, sum(int(e["raw_nbytes"])
@@ -414,23 +318,16 @@ def main(argv=None) -> int:
         )
         colstore_block = {
             "queries": len(filtered),
-            "filtered_v2_bytes": int(fv2_bytes),
-            "filtered_v3_bytes": int(fv3_bytes),
-            "bytes_ratio": round(fv3_bytes / max(1, fv2_bytes), 4),
+            "filtered_bytes": int(filtered_bytes),
+            "plain_scan_bytes": int(plain_bytes),
+            "bytes_ratio": round(filtered_bytes / max(1, plain_bytes), 4),
             "stored_ratio": round(stored_ratio, 4),
-            "speedup_vs_v2": round(v3_speedup, 3),
         }
         print(
             f"encodings: {len(filtered)} filtered queries read "
-            f"{fv3_bytes:,} bytes on v3 vs. {fv2_bytes:,} on v2, run "
-            f"{v3_speedup:.2f}x the v2 sweep; columns store at "
-            f"{stored_ratio:.2f}x raw width"
+            f"{filtered_bytes:,} bytes vs. {plain_bytes:,} for a plain "
+            f"scan; columns store at {stored_ratio:.2f}x raw width"
         )
-        if args.fail_on_regression and v3_speedup < 2.0:
-            problems.append(
-                f"v3 filtered sweep only {v3_speedup:.2f}x faster than "
-                f"v2 (bitmap + dictionary pushdown should clear 2x)"
-            )
 
         # Scaling sweep: one scan-heavy multi-vantage batch through the
         # engine in all three execution modes.  The isp-ce store spans
@@ -556,8 +453,7 @@ def main(argv=None) -> int:
         payload = {"runs": []}
 
     if args.fail_on_regression:
-        for gated in (f"{KEY}[warm]", f"{KEY}[narrow-v2]",
-                      f"{KEY}[filtered-v3]"):
+        for gated in (f"{KEY}[warm]", f"{KEY}[filtered-v3]"):
             recorded = _latest_baseline(payload, gated, args.fast)
             if recorded is None:
                 print(f"no recorded {gated} baseline at this fidelity; "

@@ -17,6 +17,8 @@ Subcommands:
   partitioned flow store,
 * ``serve`` — run a :class:`~repro.query.service.QueryService` over a
   JSONL batch of queries, emulating a multi-user analytics load.
+* ``store stats DIR`` — per-column storage report (encodings, raw vs.
+  stored bytes, bitmap-index bytes) of a flow store.
 
 ``--log-level`` (global) routes structured JSON log events — e.g.
 failed experiment checks — to stderr.
@@ -35,6 +37,7 @@ import argparse
 import datetime as _dt
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -490,44 +493,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    from repro.flows.store import (
-        FORMAT_V1,
-        FORMAT_V2,
-        FORMAT_V3,
-        FlowStore,
-    )
-
-    store = FlowStore(args.store)
-    target = {"v1": FORMAT_V1, "v2": FORMAT_V2, "v3": FORMAT_V3}[args.to]
-    migrated = store.migrate(target)
-    counts = store.format_counts()
-    inventory = ", ".join(
-        f"v{fmt}: {n}" for fmt, n in sorted(counts.items())
-    ) or "no partitions"
-    print(
-        f"migrated {migrated} partition(s) to {args.to} under "
-        f"{store.root} ({inventory})"
-    )
-    return 0
-
-
 def _cmd_store_stats(args: argparse.Namespace) -> int:
     from repro.flows.store import FlowStore
 
     store = FlowStore(args.store)
     stats = store.column_stats()
-    counts = store.format_counts()
-    inventory = ", ".join(
-        f"v{fmt}: {n}" for fmt, n in sorted(counts.items())
-    ) or "no partitions"
     total_raw = sum(int(e["raw_nbytes"]) for e in stats.values())
     total_stored = sum(int(e["stored_nbytes"]) for e in stats.values())
     total_index = sum(int(e["index_nbytes"]) for e in stats.values())
     if args.json:
         payload = {
             "store": str(store.root),
-            "partitions": {f"v{fmt}": n for fmt, n in sorted(counts.items())},
+            "partitions": len(store),
             "columns": stats,
             "total_raw_nbytes": total_raw,
             "total_stored_nbytes": total_stored,
@@ -535,9 +512,9 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print(f"store {store.root} ({inventory})")
+    print(f"store {store.root} ({len(store)} partitions)")
     if not stats:
-        print("no columnar partitions to report (v1 archives only)")
+        print("no readable partitions to report")
         return 0
     header = (
         f"{'column':<12} {'encoding':<12} {'card':>6} "
@@ -1128,22 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store_parser.add_subparsers(
         dest="store_command", required=True
     )
-    migrate_parser = store_sub.add_parser(
-        "migrate",
-        help="rewrite partitions into another format, in place",
-    )
-    migrate_parser.add_argument(
-        "store", metavar="DIR",
-        help="FlowStore directory (as written by generate --store)",
-    )
-    migrate_parser.add_argument(
-        "--to", choices=("v1", "v2", "v3"), default="v3",
-        help="target partition format (default: %(default)s — "
-             "encoded columns with bitmap indexes; v2 keeps raw "
-             "per-column segments, v1 one .npz archive per day)",
-    )
-    migrate_parser.set_defaults(func=_cmd_store_migrate)
-
     stats_parser = store_sub.add_parser(
         "stats",
         help="per-column storage report: encoding, bytes, compression",
@@ -1236,7 +1197,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.log_level:
         obs.configure(telemetry=False, log_level=args.log_level)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # Flush here so a closed pipe surfaces inside this block, not
+        # at interpreter exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro list | head -1``).
+        # Point stdout at devnull so the flush at interpreter exit
+        # cannot raise a second time; the output was cut short.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

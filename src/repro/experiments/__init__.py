@@ -3,8 +3,7 @@
 Importing this package imports every experiment module in paper order;
 each one self-registers via :func:`repro.experiments.base.register`,
 populating :data:`REGISTRY` (rich :class:`ExperimentSpec` objects) and
-the derived :data:`EXPERIMENTS` id→runner mapping the old
-``repro.pipeline`` monolith used to maintain by hand.
+the derived :data:`EXPERIMENTS` id→runner mapping.
 
 The public entry points are :func:`run_experiment` and
 :func:`run_all` (with optional ``jobs=N`` parallelism) from

@@ -1,44 +1,7 @@
-"""Columnar partition format v2: per-column segments + zone-map sidecar.
+"""Columnar partition format v3: encoded column parts + sidecar.
 
-A v1 :class:`~repro.flows.store.FlowStore` partition is one compressed
-``.npz`` archive — every read decompresses and checksums *all* columns
-even when the query touches two of them.  Format v2 turns each day into
-a directory of raw per-column ``.npy`` segments plus a JSON sidecar::
-
-    store/
-      manifest.json            entries carry {"format": 2, "sha256": ...}
-      2020-03-25/
-        sidecar.json           per-column checksums + zone map
-        hour.npy               one raw segment per column
-        src_ip.npy
-        ...
-
-The sidecar holds, per column, the segment's SHA-256, dtype, byte size,
-and min/max (the **zone map**), plus the partition row count and
-pre-aggregated per-hour ``bytes``/``flows`` totals.  That makes three
-optimizations possible without touching row data:
-
-* **Projection pushdown** — :meth:`ColumnarPartition.load` maps only
-  the columns a query references (``np.load(..., mmap_mode="r")``), and
-  verifies checksums only for those segments;
-* **Data skipping** — the planner prunes partitions whose zone map
-  (actual hour range, predicate column bounds) cannot match;
-* **Pre-aggregate answers** — unfiltered ``bytes``/``flows`` totals
-  (whole-day or per-hour) come straight from the sidecar.
-
-Checksum verification reads a segment once; a process-global
-verified-cache keyed by ``(path, mtime_ns, size)`` makes repeated warm
-queries skip re-hashing entirely.
-
-Setting the ``REPRO_NO_COLSTORE`` environment variable (to anything
-non-empty) forces the v1 full-load path everywhere: new partitions are
-written as ``.npz`` archives and v2 partitions are read fully into
-memory with every checksum verified.  Results are bit-identical either
-way — the variable only trades I/O strategy.
-
-Format **v3** keeps the sidecar discipline but encodes each column at
-seal time (see :mod:`repro.flows.encodings`) and packs every encoded
-*part* into one 64-byte-aligned ``segments.bin`` data file::
+A :class:`~repro.flows.store.FlowStore` keeps each day as a directory
+holding one JSON sidecar and one 64-byte-aligned data file::
 
     store/
       manifest.json            entries carry {"format": 3, "sha256": ...}
@@ -46,21 +9,38 @@ seal time (see :mod:`repro.flows.encodings`) and packs every encoded
         sidecar.json           encodings, per-part sha256, zones, indexes
         segments.bin           all encoded column parts, one mmap
 
+Each column is encoded at seal time (see :mod:`repro.flows.encodings`)
+and every encoded *part* is packed into ``segments.bin``.
 Low-cardinality columns are dictionary-encoded (sorted uniques + small
 codes) and, at very low cardinality, also get a serialized **bitmap
 index** (one packed bit-row per distinct value).  Near-sorted columns
-(``hour``) are delta + bit-packed.  The scan path can then evaluate
-equality/membership predicates on dictionary codes or by OR/AND-ing
-bitmap rows *before* materializing any row data, gathering only the
-surviving rows of only the referenced columns
-(:meth:`ColumnarPartition.load_filtered`).  The sidecar additionally
-records conservative zones for the derived keys (``service_port``,
-``transport``) so derived-key predicates can prune partitions.
+(``hour``) are delta + bit-packed.
 
-``REPRO_NO_COLSTORE_V3`` (any non-empty value) is the v3 escape hatch:
-new partitions are written as v2 and existing v3 partitions are read
-through the plain decode-everything scan path (no bitmap short-cuts).
-Results are bit-identical either way.
+The sidecar holds, per column, the encoding, each part's offset, size
+and SHA-256, the dtype, and min/max (the **zone map**), plus the
+partition row count, conservative zones for the derived keys
+(``service_port``, ``transport``), and pre-aggregated per-hour
+``bytes``/``flows`` totals.  That makes four optimizations possible:
+
+* **Projection pushdown** — :meth:`ColumnarPartition.load` decodes only
+  the columns a query references, and verifies checksums only for
+  their parts;
+* **Data skipping** — the planner prunes partitions whose zone map
+  (actual hour range, predicate column bounds) cannot match;
+* **Pre-aggregate answers** — unfiltered ``bytes``/``flows`` totals
+  (whole-day or per-hour) come straight from the sidecar;
+* **Predicate-first scans** — equality/membership predicates are
+  evaluated on dictionary codes or by OR/AND-ing bitmap rows *before*
+  any row data is materialized, gathering only the surviving rows of
+  only the referenced columns (:meth:`ColumnarPartition.load_filtered`).
+
+Checksum verification reads a part once; a process-global
+verified-cache keyed by ``(path, mtime_ns, size, part)`` makes repeated
+warm queries skip re-hashing entirely.
+
+v3 is the only format this module writes or reads.  A sidecar that
+declares any other format is rejected with :class:`FlowStoreError`;
+stores are regenerated from their scenario, never converted.
 """
 
 from __future__ import annotations
@@ -78,7 +58,7 @@ import numpy as np
 import repro.obs as obs
 from repro.flows import encodings, groupby
 from repro.flows.groupby import GroupIndex
-from repro.flows.io import file_sha256, read_npy_segment, write_npy_segment
+from repro.flows.io import file_sha256
 from repro.flows.table import (
     COLUMNS,
     DERIVED_BASE_COLUMNS,
@@ -88,23 +68,14 @@ from repro.flows.table import (
     compute_transport,
 )
 
-#: Partition format versions understood by the store.
-FORMAT_V1 = 1
-FORMAT_V2 = 2
+#: The partition format the store writes and reads.
 FORMAT_V3 = 3
 
-#: Sidecar file name inside a v2/v3 partition directory.
+#: Sidecar file name inside a partition directory.
 SIDECAR = "sidecar.json"
 
-#: Single data file holding every encoded part of a v3 partition.
+#: Single data file holding every encoded part of a partition.
 DATA_FILE = "segments.bin"
-
-#: Environment variable forcing the v1 full-load path.
-DISABLE_ENV = "REPRO_NO_COLSTORE"
-
-#: Environment variable pinning writes to v2 and disabling the bitmap
-#: scan path (v3 partitions are still readable, fully decoded).
-DISABLE_V3_ENV = "REPRO_NO_COLSTORE_V3"
 
 #: Hour bins per day partition.
 _HOURS = 24
@@ -116,44 +87,13 @@ _PART_ALIGN = 64
 class FlowStoreError(Exception):
     """A partition that exists in the manifest cannot be served.
 
-    Raised for missing partition files or column segments, checksum
-    mismatches, corrupt sidecars, and archives that fail to parse — all
-    the ways a store directory can rot underneath its manifest.
+    Raised for missing partition files or column parts, checksum
+    mismatches, corrupt sidecars, and partitions in a format other than
+    v3 — all the ways a store directory can rot underneath (or outlive)
+    its manifest.
     (Re-exported as :class:`repro.flows.store.FlowStoreError`, its
     historical home.)
     """
-
-
-def enabled() -> bool:
-    """Whether the columnar read/write path is active.
-
-    ``REPRO_NO_COLSTORE`` (any non-empty value) disables it, forcing
-    v1 ``.npz`` writes and full in-memory loads of v2 partitions.
-    """
-    return not os.environ.get(DISABLE_ENV)
-
-
-def v3_enabled() -> bool:
-    """Whether the v3 encoded format is active for writes and scans.
-
-    ``REPRO_NO_COLSTORE_V3`` (any non-empty value) pins new writes to
-    v2 and routes v3 reads through the plain decode-everything path —
-    bit-identical results, no bitmap short-cuts.  Implies nothing when
-    the colstore as a whole is disabled.
-    """
-    return enabled() and not os.environ.get(DISABLE_V3_ENV)
-
-
-def mode_token() -> str:
-    """Short tag naming the active partition I/O mode.
-
-    Folded into the query service's cache key so results cached under
-    one mode (with its ``bytes_read``/``columns_loaded`` diagnostics)
-    are not replayed under another.
-    """
-    if not enabled():
-        return "full-load"
-    return "colstore-v3" if v3_enabled() else "colstore"
 
 
 def required_base_columns(names: Iterable[str]) -> Tuple[str, ...]:
@@ -321,60 +261,26 @@ def _write_sidecar(sidecar: dict, temp: Path) -> str:
 
 
 def write_partition(
-    flows: FlowTable, final_dir: Path, day_start: int,
-    fmt: Optional[int] = None,
+    flows: FlowTable, final_dir: Path, day_start: int
 ) -> Tuple[dict, str]:
-    """Write one day's flows as a v2 or v3 partition directory, atomically.
+    """Write one day's flows as a partition directory, atomically.
 
-    Builds the whole partition (segments + sidecar) under a temporary
-    sibling directory and swaps it into place, so readers never observe
-    a half-written day.  ``fmt`` picks the layout (default: v3, or v2
-    under ``REPRO_NO_COLSTORE_V3``).  Returns ``(sidecar payload,
+    Builds the whole partition (``segments.bin`` + sidecar) under a
+    temporary sibling directory and swaps it into place, so readers
+    never observe a half-written day.  Returns ``(sidecar payload,
     sidecar sha256)``; the caller records the sidecar hash in the store
     manifest, chaining manifest → sidecar → column parts.
     """
-    if fmt is None:
-        fmt = FORMAT_V3 if v3_enabled() else FORMAT_V2
-    if fmt not in (FORMAT_V2, FORMAT_V3):
-        raise ValueError(f"unknown columnar partition format {fmt!r}")
     final_dir = Path(final_dir)
     temp = final_dir.with_name(final_dir.name + ".tmp")
     if temp.exists():
         shutil.rmtree(temp)
     temp.mkdir(parents=True)
-    if fmt == FORMAT_V3:
-        sidecar = _build_partition_v3(flows, temp, day_start)
-    else:
-        sidecar = _build_partition_v2(flows, temp, day_start)
+    sidecar = _build_partition(flows, temp, day_start)
     sidecar_sha = _write_sidecar(sidecar, temp)
     _seal_dir(temp, final_dir)
     obs.counter("colstore.partitions-written").inc()
     return sidecar, sidecar_sha
-
-
-def _build_partition_v2(
-    flows: FlowTable, temp: Path, day_start: int
-) -> dict:
-    columns_meta: Dict[str, Dict[str, object]] = {}
-    for name in COLUMNS:
-        column = flows.column(name)
-        sha = write_npy_segment(column, temp / f"{name}.npy")
-        columns_meta[name] = {
-            "sha256": sha,
-            "dtype": column.dtype.str,
-            "nbytes": int(column.nbytes),
-            "min": int(column.min()) if len(column) else None,
-            "max": int(column.max()) if len(column) else None,
-        }
-    byte_bins, flow_bins = _hour_preaggregates(flows, day_start)
-    return {
-        "format": FORMAT_V2,
-        "rows": len(flows),
-        "day_start": day_start,
-        "columns": columns_meta,
-        "derived_zones": _derived_zones(flows),
-        "hours": {"bytes": byte_bins, "flows": flow_bins},
-    }
 
 
 class _PartWriter:
@@ -404,7 +310,7 @@ class _PartWriter:
         return len(self._blob)
 
 
-def _build_partition_v3(
+def _build_partition(
     flows: FlowTable, temp: Path, day_start: int
 ) -> dict:
     writer = _PartWriter()
@@ -456,6 +362,22 @@ def _build_partition_v3(
 # -- reads --------------------------------------------------------------------
 
 
+def unsupported_format(what: str, fmt: object) -> FlowStoreError:
+    """The error for a manifest entry or sidecar in a format other than v3.
+
+    ``fmt`` is the declared format; ``None`` (no ``"format"`` field)
+    is how v1 ``.npz`` archives were recorded.
+    """
+    if fmt is None:
+        name = "v1 (.npz archive)"
+    else:
+        name = f"v{fmt}" if isinstance(fmt, int) else repr(fmt)
+    return FlowStoreError(
+        f"{what} is in partition format {name}; only format "
+        f"{FORMAT_V3} is readable — regenerate the store"
+    )
+
+
 def read_sidecar(partition_dir: Path, expected_sha: Optional[str],
                  what: str) -> dict:
     """Load and validate one partition sidecar.
@@ -478,14 +400,12 @@ def read_sidecar(partition_dir: Path, expected_sha: Optional[str],
             f"sidecar for {what} cannot be parsed: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    if (
-        not isinstance(sidecar, dict)
-        or sidecar.get("format") not in (FORMAT_V2, FORMAT_V3)
-    ):
+    if not isinstance(sidecar, dict):
         raise FlowStoreError(
-            f"sidecar for {what} has unsupported format "
-            f"{sidecar.get('format') if isinstance(sidecar, dict) else sidecar!r}"
+            f"sidecar for {what} is not a JSON object: {sidecar!r}"
         )
+    if sidecar.get("format") != FORMAT_V3:
+        raise unsupported_format(f"sidecar for {what}", sidecar.get("format"))
     columns = sidecar.get("columns")
     if not isinstance(columns, dict) or set(columns) != set(COLUMNS):
         present = sorted(columns) if isinstance(columns, dict) else columns
@@ -640,10 +560,10 @@ def _rebuild_bundle(
 
 
 class ColumnarPartition:
-    """One v2/v3 partition directory opened for reading.
+    """One partition directory opened for reading.
 
     Pickles by ``(day, path, sidecar)`` — plain data, no open mmaps —
-    so partition handles are cheap to ship to scan workers.  The v3
+    so partition handles are cheap to ship to scan workers.  The
     data-file mmap is opened lazily per handle and never pickled.
     """
 
@@ -664,10 +584,6 @@ class ColumnarPartition:
     @property
     def rows(self) -> int:
         return int(self._sidecar["rows"])
-
-    @property
-    def format(self) -> int:
-        return int(self._sidecar.get("format", FORMAT_V2))
 
     @property
     def sidecar(self) -> dict:
@@ -694,18 +610,14 @@ class ColumnarPartition:
     def column_nbytes(self, columns: Iterable[str]) -> int:
         """On-disk bytes behind ``columns`` (estimation, I/O accounting).
 
-        Raw segment bytes for v2; the summed encoded part bytes for v3
-        — i.e. what a scan of those columns would actually read.
+        The summed encoded part bytes — what a plain scan of those
+        columns actually reads.
         """
-        total = 0
-        for name in columns:
-            meta = self._sidecar["columns"][name]
-            parts = meta.get("parts")
-            if parts:
-                total += sum(int(p["nbytes"]) for p in parts.values())
-            else:
-                total += int(meta["nbytes"])
-        return total
+        return sum(self._stored_nbytes(name) for name in columns)
+
+    def _stored_nbytes(self, name: str) -> int:
+        parts = self._sidecar["columns"][name].get("parts") or {}
+        return sum(int(p["nbytes"]) for p in parts.values())
 
     def index_meta(self, column: str) -> Optional[dict]:
         """Bitmap-index metadata for one column, or None."""
@@ -715,20 +627,14 @@ class ColumnarPartition:
         """Per-column seal decisions for ``store stats`` and benches.
 
         Maps column name to raw vs. stored bytes, the chosen encoding,
-        and (for dictionaries) the cardinality.  v2 partitions report
-        every column as ``raw`` at ratio 1.0.
+        and (for dictionaries) the cardinality.
         """
         stats: Dict[str, Dict[str, object]] = {}
         for name, meta in self._sidecar["columns"].items():
-            parts = meta.get("parts")
-            if parts:
-                stored = sum(int(p["nbytes"]) for p in parts.values())
-            else:
-                stored = int(meta["nbytes"])
             entry: Dict[str, object] = {
                 "encoding": meta.get("encoding", encodings.RAW),
                 "raw_nbytes": int(meta["nbytes"]),
-                "stored_nbytes": stored,
+                "stored_nbytes": self._stored_nbytes(name),
             }
             if meta.get("cardinality") is not None:
                 entry["cardinality"] = int(meta["cardinality"])
@@ -753,37 +659,16 @@ class ColumnarPartition:
         """Load the requested physical columns, verifying their checksums.
 
         Returns ``(bundle, bytes_read)`` where ``bytes_read`` counts the
-        on-disk bytes behind the loaded columns (encoded bytes for v3).
-        Missing or corrupt segments raise :class:`FlowStoreError`
-        naming the column.
+        encoded on-disk bytes behind the loaded columns.  Missing or
+        corrupt parts raise :class:`FlowStoreError` naming the column.
         """
         arrays: Dict[str, np.ndarray] = {}
         bytes_read = 0
-        if self.format == FORMAT_V3:
-            data = self._data_u8()
-            for name in columns:
-                array, nbytes = self._decode_column(name, data, mmap)
-                arrays[name] = array
-                bytes_read += nbytes
-        else:
-            for name in columns:
-                meta = self._sidecar["columns"][name]
-                path = self._dir / f"{name}.npy"
-                _verify_file(
-                    path, str(meta["sha256"]),
-                    f"column {name!r} of partition {self.day}",
-                )
-                try:
-                    arrays[name] = read_npy_segment(
-                        path, np.dtype(str(meta["dtype"])), self.rows,
-                        mmap=mmap,
-                    )
-                except (OSError, ValueError) as exc:
-                    raise FlowStoreError(
-                        f"column {name!r} of partition {self.day} cannot "
-                        f"be read: {type(exc).__name__}: {exc}"
-                    ) from exc
-                bytes_read += int(meta["nbytes"])
+        data = self._data_u8()
+        for name in columns:
+            array, nbytes = self._decode_column(name, data, mmap)
+            arrays[name] = array
+            bytes_read += nbytes
         obs.counter("colstore.loads").inc()
         obs.counter("colstore.columns-loaded").inc(len(arrays))
         obs.counter("colstore.bytes-mapped").inc(bytes_read)
@@ -793,7 +678,7 @@ class ColumnarPartition:
         )
         return bundle, bytes_read
 
-    # -- v3 internals --------------------------------------------------------
+    # -- internals -----------------------------------------------------------
 
     def _data_u8(self) -> np.ndarray:
         """The partition's ``segments.bin`` as a flat uint8 mmap, cached."""
@@ -806,6 +691,10 @@ class ColumnarPartition:
                 data = np.zeros(0, dtype=np.uint8)
             else:
                 data = np.memmap(path, dtype=np.uint8, mode="r")
+        except FileNotFoundError as exc:
+            raise FlowStoreError(
+                f"data file for partition {self.day} is missing: {path}"
+            ) from exc
         except (OSError, ValueError) as exc:
             raise FlowStoreError(
                 f"data file for partition {self.day} cannot be read: "
@@ -867,7 +756,7 @@ class ColumnarPartition:
     def _decode_column(
         self, name: str, data: np.ndarray, mmap: bool
     ) -> Tuple[np.ndarray, int]:
-        """Decode one v3 column to its logical array.
+        """Decode one column to its logical array.
 
         Unknown (future) encodings degrade to the column's ``raw`` part
         when one is present — still checksum-verified — so a newer
@@ -924,7 +813,7 @@ class ColumnarPartition:
         self, predicates: Sequence, columns: Sequence[str],
         mmap: bool = True,
     ) -> Tuple[ColumnBundle, int]:
-        """Predicate-first scan of a v3 partition.
+        """Predicate-first scan of the partition.
 
         Evaluates each predicate in the cheapest space available —
         bitmap-row OR/AND for indexed columns, dictionary-code compare
@@ -938,10 +827,6 @@ class ColumnarPartition:
         objects (``column``, ``op`` ∈ {"in", "range"}, sorted
         ``values``); ``columns`` must be physical column names.
         """
-        if self.format != FORMAT_V3:
-            raise FlowStoreError(
-                f"partition {self.day} is not a v3 partition"
-            )
         rows = self.rows
         data = self._data_u8()
         bytes_read = 0
@@ -1106,8 +991,8 @@ class ColumnarPartition:
     def table(self, mmap: bool = False) -> FlowTable:
         """The whole partition as a :class:`FlowTable` (all columns).
 
-        ``mmap=False`` (the default for the v1-compatible full-load
-        path) materializes every column in memory.
+        ``mmap=False`` (the default) materializes every column in
+        memory.
         """
         bundle, _ = self.load(tuple(COLUMNS), mmap=mmap)
         return FlowTable({name: bundle.column(name) for name in COLUMNS})

@@ -1,18 +1,15 @@
 """Persistence for flow tables.
 
-Three formats:
+Two formats:
 
 * **CSV** — human-readable, one header row, for small tables, examples,
   and interchange with external tools.
 * **NPZ** — compressed numpy archive, one entry per column, for large
-  synthetic traces.  Loading is zero-copy-ish and orders of magnitude
-  faster than CSV.
-* **NPY column segments** — one raw ``.npy`` file per column, the
-  physical layer of the v2 columnar partition format
-  (:mod:`repro.flows.colstore`).  Raw segments support true zero-copy
-  reads: ``np.load(..., mmap_mode="r")`` maps the file instead of
-  decompressing it, so a projected query touches only the bytes of the
-  columns it references.
+  synthetic traces and the on-disk dataset cache.  Loading is
+  orders of magnitude faster than CSV.
+
+The partitioned flow store has its own columnar layout
+(:mod:`repro.flows.colstore`); :func:`file_sha256` is shared with it.
 """
 
 from __future__ import annotations
@@ -104,38 +101,3 @@ def file_sha256(path: PathLike) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def write_npy_segment(array: np.ndarray, path: PathLike) -> str:
-    """Write one column as an uncompressed ``.npy`` segment.
-
-    Returns the segment file's hex SHA-256 (recorded in the partition
-    sidecar and verified on load).
-    """
-    path = Path(path)
-    # Contiguity matters: np.save of a non-contiguous view would copy
-    # anyway, and mmap readers expect the canonical row order.
-    np.save(path, np.ascontiguousarray(array))
-    return file_sha256(path)
-
-
-def read_npy_segment(
-    path: PathLike,
-    dtype: np.dtype,
-    rows: int,
-    mmap: bool = True,
-) -> np.ndarray:
-    """Load one ``.npy`` column segment, validating its shape and dtype.
-
-    ``mmap=True`` memory-maps the file (zero-copy, read-only);
-    ``mmap=False`` reads it fully into memory.  A segment whose dtype
-    or length disagrees with the partition sidecar raises
-    ``ValueError`` — that is corruption, not a formatting nicety.
-    """
-    array = np.load(Path(path), mmap_mode="r" if mmap else None)
-    if array.dtype != dtype or array.ndim != 1 or array.shape[0] != rows:
-        raise ValueError(
-            f"column segment {path} has dtype={array.dtype} "
-            f"shape={array.shape}, expected dtype={dtype} shape=({rows},)"
-        )
-    return array

@@ -5,38 +5,27 @@ analyses usually touch a handful of named weeks.  ``FlowStore`` keeps a
 directory of per-day partitions plus a JSON manifest, so date-range
 queries load only the partitions they need.
 
-Two partition formats coexist under one manifest:
-
-* **v1** — one compressed ``.npz`` archive per day
-  (``2020-03-25.npz``); reads decompress and checksum the whole
-  archive.
-* **v2** — one directory per day holding raw per-column ``.npy``
-  segments plus a zone-map sidecar (see
-  :mod:`repro.flows.colstore`); reads memory-map only the columns a
-  query references and verify checksums per loaded column.
-* **v3** — one directory per day holding a single ``segments.bin`` of
-  per-column *encoded* parts (dictionary / delta+bit-pack / raw) plus
-  bitmap indexes, described by the same sidecar discipline; scans can
-  evaluate predicates on dictionary codes or bitmap rows before
-  materializing any row data.
-
-New writes default to v3 (v2 under ``REPRO_NO_COLSTORE_V3``, v1 under
-``REPRO_NO_COLSTORE``), the manifest records each partition's format,
-and :meth:`FlowStore.migrate` rewrites partitions between any two
-formats in place — atomically, one day at a time.
+Every partition is one directory per day holding a single
+``segments.bin`` of per-column *encoded* parts (dictionary /
+delta+bit-pack / raw) plus bitmap indexes, described by a JSON sidecar
+(see :mod:`repro.flows.colstore`).  Reads map only the columns a query
+references, and scans can evaluate predicates on dictionary codes or
+bitmap rows before materializing any row data.
 
 Writes are append-only at day granularity; re-writing a day replaces
 its partition atomically (write to a temp name, then rename).  The
-manifest is committed once per :meth:`FlowStore.write_day`,
-:meth:`FlowStore.write_range` or :meth:`FlowStore.migrate` call.
+manifest is committed once per :meth:`FlowStore.write_day` or
+:meth:`FlowStore.write_range` call.
 
-Every partition's manifest entry records a SHA-256 — of the archive
-bytes (v1) or of the sidecar, which in turn records per-column segment
-hashes (v2).  Reads verify the chain, so a truncated or corrupted
-partition raises a :class:`FlowStoreError` instead of surfacing as a
-numpy/zipfile internal error (or, worse, as silently wrong data); the
-query planner turns that into a per-partition failure rather than a
-crashed query.
+Every partition's manifest entry records ``"format": 3`` and the
+SHA-256 of its sidecar, which in turn records a hash per encoded part.
+Reads verify the chain, so a truncated or corrupted partition raises a
+:class:`FlowStoreError` instead of surfacing as a numpy internal error
+(or, worse, as silently wrong data); the query planner turns that into
+a per-partition failure rather than a crashed query.  A manifest entry
+in any older format (v1 ``.npz`` archives, v2 per-column ``.npy``
+segments) is rejected the same way, naming the format: such stores are
+regenerated from their scenario, not converted.
 """
 
 from __future__ import annotations
@@ -48,34 +37,22 @@ import json
 import os
 import shutil
 import threading
-import zipfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro import timebase
 from repro.flows import colstore
-from repro.flows.colstore import (
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
-    FlowStoreError,
-)
-from repro.flows.io import file_sha256, read_npz, write_npz
+from repro.flows.colstore import FORMAT_V3, FlowStoreError
 from repro.flows.table import COLUMNS, FlowTable
 
 __all__ = [
-    "FORMAT_V1",
-    "FORMAT_V2",
     "FORMAT_V3",
     "FlowStore",
     "FlowStoreError",
     "open_cached",
 ]
-
-#: Every format the store can read and write.
-_ALL_FORMATS = (FORMAT_V1, FORMAT_V2, FORMAT_V3)
 
 PathLike = Union[str, Path]
 
@@ -85,22 +62,10 @@ _MANIFEST = "manifest.json"
 class FlowStore:
     """A date-partitioned flow archive under one directory."""
 
-    def __init__(self, root: PathLike,
-                 default_format: Optional[int] = None):
-        """Open (or create) a store.
-
-        ``default_format`` fixes the partition format for new writes;
-        by default it follows the colstore switches — v3, or v2 under
-        ``REPRO_NO_COLSTORE_V3``, or v1 under ``REPRO_NO_COLSTORE``.
-        """
-        if default_format is not None and default_format not in _ALL_FORMATS:
-            raise ValueError(
-                f"unknown partition format {default_format!r}; "
-                f"use one of {_ALL_FORMATS}"
-            )
+    def __init__(self, root: PathLike):
+        """Open (or create) a store."""
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        self._default_format = default_format
         self._manifest: Dict[str, Dict[str, object]] = {}
         self._partitions: Dict[tuple, colstore.ColumnarPartition] = {}
         self._commit_depth = 0
@@ -116,29 +81,17 @@ class FlowStore:
         """The store's directory."""
         return self._root
 
-    @property
-    def default_format(self) -> int:
-        """The format new partitions are written in."""
-        if self._default_format is not None:
-            return self._default_format
-        if not colstore.enabled():
-            return FORMAT_V1
-        return FORMAT_V3 if colstore.v3_enabled() else FORMAT_V2
-
     def state_token(self) -> str:
         """Hex digest identifying the store's current contents.
 
         Derived from the manifest (day set, flow/byte totals, formats,
-        and the per-partition checksums), so any write, delete,
-        re-write, or migration changes it.  The query service keys its
+        and the per-partition checksums), so any write, delete, or
+        re-write changes it.  The query service keys its
         result cache on ``(query fingerprint, state token)`` — a
         mutated store can never serve stale cached results.
         """
         payload = json.dumps(self._manifest, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def _partition_path(self, day: _dt.date) -> Path:
-        return self._root / f"{day.isoformat()}.npz"
 
     def _partition_dir(self, day: _dt.date) -> Path:
         return self._root / day.isoformat()
@@ -154,9 +107,9 @@ class FlowStore:
         """Write the manifest once, when the outermost block exits.
 
         Every manifest change runs inside one of these blocks.
-        :meth:`write_range` and :meth:`migrate` wrap their whole loop in
-        one, so the per-day blocks nested inside it commit nothing and
-        the manifest is written once per call instead of once per day.
+        :meth:`write_range` wraps its whole loop in one, so the per-day
+        blocks nested inside it commit nothing and the manifest is
+        written once per call instead of once per day.
         The commit also runs when the block raises, so the days sealed
         before the error are recorded.
         """
@@ -192,57 +145,31 @@ class FlowStore:
             raise KeyError(f"no partition for {day}")
         return int(entry["flows"])
 
-    def partition_format(self, day: _dt.date) -> int:
-        """The stored format of one day's partition (1, 2, or 3)."""
-        entry = self._manifest.get(day.isoformat())
-        if entry is None:
-            raise KeyError(f"no partition for {day}")
-        return int(entry.get("format", FORMAT_V1))
-
-    def format_counts(self) -> Dict[int, int]:
-        """Partition count per format version (inventory/CLI)."""
-        counts: Dict[int, int] = {}
-        for entry in self._manifest.values():
-            fmt = int(entry.get("format", FORMAT_V1))
-            counts[fmt] = counts.get(fmt, 0) + 1
-        return counts
-
     def partition_disk_bytes(self, day: _dt.date) -> int:
-        """Approximate bytes behind one partition (planner estimates).
+        """Encoded part bytes behind one partition (size estimates).
 
-        Segment bytes for v2 directories, encoded part bytes for v3,
-        archive size for v1 files; zero when the partition cannot be
-        inspected — estimation must never fail a query that the scan
-        itself could still serve.
+        Zero when the partition cannot be inspected — estimation must
+        never fail a query that the scan itself could still serve.
         """
-        entry = self._entry(day)
-        if int(entry.get("format", FORMAT_V1)) in (FORMAT_V2, FORMAT_V3):
-            try:
-                partition = self.open_partition(day)
-            except FlowStoreError:
-                return 0
-            return partition.column_nbytes(tuple(COLUMNS))
         try:
-            return self._partition_path(day).stat().st_size
-        except OSError:
+            partition = self.open_partition(day)
+        except FlowStoreError:
             return 0
+        return partition.column_nbytes(tuple(COLUMNS))
 
     def column_stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-column storage stats aggregated over v2/v3 partitions.
+        """Per-column storage stats aggregated over all partitions.
 
         Maps column name to summed raw vs. stored bytes, the set of
         encodings chosen across partitions, the largest dictionary
-        cardinality seen, and total bitmap-index bytes.  v1 partitions
-        carry no per-column layout and are skipped (their count is in
-        :meth:`format_counts`).  Backs ``repro store stats``.
+        cardinality seen, and total bitmap-index bytes.  Partitions
+        that cannot be opened are skipped.  Backs ``repro store stats``.
         """
         totals: Dict[str, Dict[str, object]] = {}
         for day in self.days():
             try:
                 partition = self.open_partition(day)
             except FlowStoreError:
-                continue
-            if partition is None:
                 continue
             for name, stat in partition.encoding_stats().items():
                 entry = totals.setdefault(name, {
@@ -276,14 +203,11 @@ class FlowStore:
 
     # -- writes -----------------------------------------------------------------
 
-    def write_day(self, day: _dt.date, flows: FlowTable,
-                  partition_format: Optional[int] = None) -> None:
+    def write_day(self, day: _dt.date, flows: FlowTable) -> None:
         """Store one day's flows, replacing any existing partition.
 
         Every flow must fall inside ``day``'s 24 hourly bins; mixing
         days in one partition would silently corrupt range queries.
-        ``partition_format`` overrides the store's default for this
-        write (the migration path).
         """
         start = timebase.hour_index(day, 0)
         hours = flows.column("hour")
@@ -293,41 +217,22 @@ class FlowStore:
             raise ValueError(
                 f"flows outside {day} cannot go into its partition"
             )
-        fmt = partition_format or self.default_format
-        if fmt not in _ALL_FORMATS:
-            raise ValueError(f"unknown partition format {fmt!r}")
         key = day.isoformat()
-        if fmt in (FORMAT_V2, FORMAT_V3):
-            _, sidecar_sha = colstore.write_partition(
-                flows, self._partition_dir(day), start, fmt=fmt
-            )
-            checksum = sidecar_sha
-            # Drop a leftover v1 archive from a format switch.
-            if self._partition_path(day).exists():
-                self._partition_path(day).unlink()
-        else:
-            final = self._partition_path(day)
-            # The temp name must end in .npz or numpy appends the suffix.
-            temp = final.with_suffix(".tmp.npz")
-            write_npz(flows, temp)
-            checksum = file_sha256(temp)
-            os.replace(temp, final)
-            if self._partition_dir(day).exists():
-                shutil.rmtree(self._partition_dir(day))
+        _, sidecar_sha = colstore.write_partition(
+            flows, self._partition_dir(day), start
+        )
         entry: Dict[str, object] = {
             "flows": len(flows),
             "bytes": flows.total_bytes(),
-            "sha256": checksum,
+            "sha256": sidecar_sha,
+            "format": FORMAT_V3,
         }
-        if fmt != FORMAT_V1:
-            entry["format"] = fmt
         with self._manifest_commit():
             self._manifest[key] = entry
             self._invalidate(key)
 
     def write_range(
         self, flows: FlowTable, start_day: _dt.date, end_day: _dt.date,
-        partition_format: Optional[int] = None,
     ) -> int:
         """Partition a multi-day table into daily partitions.
 
@@ -366,8 +271,7 @@ class FlowStore:
                 day_flows = FlowTable(
                     {name: col[lo:hi] for name, col in columns.items()}
                 )
-                self.write_day(day, day_flows,
-                               partition_format=partition_format)
+                self.write_day(day, day_flows)
         return n_days
 
     def delete_day(self, day: _dt.date) -> None:
@@ -375,43 +279,12 @@ class FlowStore:
         key = day.isoformat()
         if key not in self._manifest:
             return
-        path = self._partition_path(day)
-        if path.exists():
-            path.unlink()
         directory = self._partition_dir(day)
         if directory.exists():
             shutil.rmtree(directory)
         with self._manifest_commit():
             del self._manifest[key]
             self._invalidate(key)
-
-    def migrate(self, to_format: int = FORMAT_V2) -> int:
-        """Rewrite partitions stored in another format, in place.
-
-        Each day is read fully (checksums verified) and rewritten in
-        ``to_format`` with the usual tmp+rename swap, so no partition is
-        ever half written.  Returns the number of partitions rewritten;
-        already-converted days are untouched.
-
-        As in :meth:`write_range`, the manifest is committed once, after
-        the last day.  A crash before that commit leaves the previous
-        manifest in place, and every day migrated so far no longer
-        matches it: its new partition is an orphan, and its old archive
-        or sidecar is gone or replaced, so reading the day raises
-        :class:`FlowStoreError` until the store is repaired or
-        regenerated.  Days not yet reached read as before.
-        """
-        if to_format not in _ALL_FORMATS:
-            raise ValueError(f"unknown partition format {to_format!r}")
-        migrated = 0
-        with self._manifest_commit():
-            for day in self.days():
-                if self.partition_format(day) == to_format:
-                    continue
-                flows = self.read_day(day)
-                self.write_day(day, flows, partition_format=to_format)
-                migrated += 1
-        return migrated
 
     # -- reads ---------------------------------------------------------------------
 
@@ -420,22 +293,22 @@ class FlowStore:
             raise KeyError(f"no partition for {day}")
         return self._manifest[day.isoformat()]
 
-    def open_partition(
-        self, day: _dt.date
-    ) -> Optional[colstore.ColumnarPartition]:
-        """A :class:`~repro.flows.colstore.ColumnarPartition` handle, or
-        ``None`` for v1 partitions.
+    def open_partition(self, day: _dt.date) -> colstore.ColumnarPartition:
+        """A :class:`~repro.flows.colstore.ColumnarPartition` handle.
 
         The sidecar is verified against the manifest hash and the
         *handle* is cached per ``(day, sha)``, so repeated queries pay
-        one JSON parse and — for v3 — keep one ``segments.bin``
-        mapping open instead of re-mmapping per scan.  Rewriting a day
-        changes its manifest sha, which drops the stale handle.
+        one JSON parse and keep one ``segments.bin`` mapping open
+        instead of re-mmapping per scan.  Rewriting a day changes its
+        manifest sha, which drops the stale handle.  An entry in any
+        format but v3 raises :class:`FlowStoreError` naming it.
         """
         entry = self._entry(day)
-        if int(entry.get("format", FORMAT_V1)) not in (FORMAT_V2, FORMAT_V3):
-            return None
         key = day.isoformat()
+        if entry.get("format") != FORMAT_V3:
+            raise colstore.unsupported_format(
+                f"partition {key}", entry.get("format")
+            )
         cache_key = (key, entry.get("sha256"))
         partition = self._partitions.get(cache_key)
         if partition is None:
@@ -455,49 +328,20 @@ class FlowStore:
                     f"partition for {day} is corrupt: sidecar reports "
                     f"{sidecar['rows']} rows, manifest {entry['flows']}"
                 )
-            partition = colstore.ColumnarPartition(
-                key, self._partition_dir(day), sidecar
-            )
+            partition = colstore.ColumnarPartition(key, directory, sidecar)
             self._partitions[cache_key] = partition
         return partition
-
-    def _read_day_v1(self, day: _dt.date) -> FlowTable:
-        path = self._partition_path(day)
-        if not path.exists():
-            raise FlowStoreError(
-                f"partition file for {day} is missing from {self._root}"
-            )
-        expected = self._entry(day).get("sha256")
-        if expected is not None:
-            actual = file_sha256(path)
-            if actual != expected:
-                raise FlowStoreError(
-                    f"partition for {day} is corrupt: checksum "
-                    f"{actual[:12]}… does not match the manifest's "
-                    f"{str(expected)[:12]}…"
-                )
-        try:
-            return read_npz(path)
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile) as exc:
-            raise FlowStoreError(
-                f"partition for {day} cannot be read: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
 
     def read_day(self, day: _dt.date) -> FlowTable:
         """Load one day's partition, verifying its content checksums.
 
         Raises ``KeyError`` if the day has no manifest entry and
         :class:`FlowStoreError` if the partition is missing, fails a
-        checksum, or cannot be parsed.  v2 partitions are memory-mapped
-        when the colstore is enabled and read fully into memory under
-        ``REPRO_NO_COLSTORE``; either way every column is verified.
+        checksum, cannot be parsed, or is in another format.  Columns
+        are memory-mapped where their encoding allows it; every column
+        is verified.
         """
-        partition = self.open_partition(day)
-        if partition is None:
-            return self._read_day_v1(day)
-        return partition.table(mmap=colstore.enabled())
+        return self.open_partition(day).table(mmap=True)
 
     def read_range(
         self, start_day: _dt.date, end_day: _dt.date,

@@ -35,7 +35,7 @@ from repro import timebase
 from repro.flows import colstore, encodings
 from repro.flows.groupby import GroupIndex
 from repro.flows.hll import HyperLogLog
-from repro.flows.store import FORMAT_V1, FORMAT_V3, FlowStore, FlowStoreError
+from repro.flows.store import FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS, DERIVED_KEYS, FlowTable
 from repro.query.errors import QueryCancelled, QueryTimeout
 from repro.query.spec import (
@@ -69,12 +69,12 @@ class QueryPlan:
     ``columns`` is the physical projection the scans will load,
     ``sidecar_days`` how many planned days will be answered from
     sidecar pre-aggregates without row I/O, and ``estimated_bytes`` the
-    predicted partition bytes behind the remaining scans (encoded part
-    bytes for v3 days, segment bytes of projected columns for v2 days,
-    archive bytes scaled by the projected-column fraction for v1 days).
-    ``day_strategies`` records, parallel to ``days``, the per-partition
-    scan strategy the cost model picked (``"sidecar"``, ``"bitmap"``,
-    ``"scan"``, or ``"full"`` for v1/full loads).
+    predicted encoded part bytes behind the remaining scans, as the cost
+    model estimates them per day.  ``day_strategies`` records, parallel
+    to ``days``, the per-partition scan strategy the cost model picked
+    (``"sidecar"``, ``"bitmap"``, or ``"scan"``).  A day whose partition
+    cannot be opened at plan time stays planned as ``"scan"`` with no
+    estimate, so the scan reports it as a partition failure.
     """
 
     spec: QuerySpec
@@ -127,11 +127,10 @@ class ScanStats:
     """Per-partition scan diagnostics.
 
     ``mode`` names the I/O strategy taken: ``"mmap"`` (projected
-    memory-mapped v2/v3 scan), ``"bitmap"`` (v3 predicate-first scan —
+    memory-mapped scan), ``"bitmap"`` (predicate-first scan —
     bitmap/dictionary-code filtering before any row materialization),
-    ``"full"`` (whole-partition load — v1 archives and the
-    ``REPRO_NO_COLSTORE`` path), or ``"sidecar"`` (answered from
-    pre-aggregates without touching row data).
+    or ``"sidecar"`` (answered from pre-aggregates without touching row
+    data).
     """
 
     rows_scanned: int
@@ -243,7 +242,7 @@ class QueryResult:
 
 
 def _sidecar_answerable(spec: QuerySpec) -> bool:
-    """Whether v2 sidecar pre-aggregates can answer ``spec`` exactly.
+    """Whether sidecar pre-aggregates can answer ``spec`` exactly.
 
     They can when the query needs no per-row state: no group keys, only
     ``bytes``/``flows`` aggregates (both pre-aggregated per hour), and
@@ -274,7 +273,7 @@ def _materialize_columns(spec: QuerySpec) -> Tuple[str, ...]:
 
     Group keys (derived expanded), the ``hour`` column for hour
     bucketing, and aggregate inputs — but not pure-predicate columns,
-    which the v3 predicate-first scan never materializes.
+    which the predicate-first scan never materializes.
     """
     names = list(spec.group_by)
     if spec.bucket == "hour":
@@ -321,7 +320,7 @@ def _partition_strategy(
     in-process scan, and every process-pool worker re-derive the same
     choice independently, so no plan context needs shipping.
 
-    The v3 predicate-first path pays for predicate structures up front
+    The predicate-first path pays for predicate structures up front
     (bitmap rows or dictionary codes, plus a rows/8 mask) and then
     reads only the estimated surviving fraction of the materialized
     columns; the plain scan reads every projected column in full.  The
@@ -332,14 +331,13 @@ def _partition_strategy(
     and the planner + scan pair cost one derivation, not two.
     """
     cache = partition.strategy_cache
-    key = (spec, colstore.v3_enabled())
-    cached = cache.get(key)
+    cached = cache.get(spec)
     if cached is not None:
         return cached
     choice = _derive_partition_strategy(partition, spec)
     if len(cache) >= 128:
         cache.clear()
-    cache[key] = choice
+    cache[spec] = choice
     return choice
 
 
@@ -347,8 +345,6 @@ def _derive_partition_strategy(
     partition: colstore.ColumnarPartition, spec: QuerySpec
 ) -> Tuple[str, int]:
     scan_bytes = partition.column_nbytes(spec.referenced_columns())
-    if partition.format != FORMAT_V3 or not colstore.v3_enabled():
-        return "scan", scan_bytes
     if not spec.where:
         return "scan", scan_bytes
     sidecar = partition.sidecar
@@ -388,11 +384,12 @@ def plan_query(store: FlowStore, spec: QuerySpec) -> QueryPlan:
     """Choose the partitions to scan, with data skipping.
 
     Manifest-only pruning drops out-of-range, empty, and hour-disjoint
-    partitions without opening anything.  For v2 partitions the sidecar
-    zone map then drops days whose per-column min/max cannot satisfy a
-    predicate — a sidecar read, but never row data.  A sidecar that
-    fails verification here is *not* treated as prunable; the day stays
-    planned so the scan reports it as a partition failure.
+    partitions without opening anything.  The sidecar zone map then
+    drops days whose per-column min/max cannot satisfy a predicate — a
+    sidecar read, but never row data.  A partition that cannot be opened
+    here (failed verification, another format) is *not* treated as
+    prunable; the day stays planned so the scan reports it as a
+    partition failure.
     """
     hour_windows: List[Tuple[int, int]] = []
     for predicate in spec.where:
@@ -412,19 +409,7 @@ def plan_query(store: FlowStore, spec: QuerySpec) -> QueryPlan:
         p for p in spec.where
         if p.column in COLUMNS or p.column in DERIVED_KEYS
     ]
-    projected = (
-        spec.referenced_columns() if colstore.enabled()
-        else tuple(COLUMNS)
-    )
-    # v1 archives store every column; a projected scan still reads the
-    # whole file, but the *useful* bytes — what v2/v3 estimates count —
-    # are the projected fraction of the row width.
-    row_width = sum(dtype.itemsize for dtype in COLUMNS.values())
-    projected_fraction = (
-        sum(COLUMNS[name].itemsize for name in projected) / row_width
-        if row_width else 1.0
-    )
-    sidecar_ok = colstore.enabled() and _sidecar_answerable(spec)
+    sidecar_ok = _sidecar_answerable(spec)
     days: List[_dt.date] = []
     pruned_out_of_range = 0
     pruned_empty = 0
@@ -447,12 +432,10 @@ def plan_query(store: FlowStore, spec: QuerySpec) -> QueryPlan:
         if any(hi < day_start or lo >= day_stop for lo, hi in hour_windows):
             pruned_by_hour += 1
             continue
-        partition = None
-        if store.partition_format(day) != FORMAT_V1:
-            try:
-                partition = store.open_partition(day)
-            except FlowStoreError:
-                partition = None
+        try:
+            partition = store.open_partition(day)
+        except FlowStoreError:
+            partition = None
         if partition is not None and any(
             _zone_disjoint(partition, p) for p in zone_predicates
         ):
@@ -460,10 +443,7 @@ def plan_query(store: FlowStore, spec: QuerySpec) -> QueryPlan:
             continue
         days.append(day)
         if partition is None:
-            estimated_bytes += int(
-                store.partition_disk_bytes(day) * projected_fraction
-            )
-            day_strategies.append("full")
+            day_strategies.append("scan")
         elif sidecar_ok:
             sidecar_days += 1
             day_strategies.append("sidecar")
@@ -484,7 +464,7 @@ def plan_query(store: FlowStore, spec: QuerySpec) -> QueryPlan:
         pruned_empty=pruned_empty,
         pruned_by_hour=pruned_by_hour,
         pruned_by_zone=pruned_by_zone,
-        columns=projected,
+        columns=spec.referenced_columns(),
         sidecar_days=sidecar_days,
         estimated_bytes=estimated_bytes,
         day_strategies=tuple(day_strategies),
@@ -618,48 +598,30 @@ def scan_partition(
     value first (absolute hour index, or the day's ordinal for day
     bucketing), then the group-by key values.
 
-    With the colstore enabled, a v2/v3 partition is answered from
-    sidecar pre-aggregates when possible; otherwise the cost model
-    (:func:`_partition_strategy`) picks between the v3 predicate-first
-    scan — bitmap/dictionary-code filtering, then gathering only the
-    surviving rows — and a memory-mapped projection of
-    :meth:`QuerySpec.referenced_columns` filtered through a row mask.
-    v1 partitions (and every partition under ``REPRO_NO_COLSTORE``)
-    take the full-load path.  All strategies produce identical
+    The partition is answered from sidecar pre-aggregates when
+    possible; otherwise the cost model (:func:`_partition_strategy`)
+    picks between the predicate-first scan — bitmap/dictionary-code
+    filtering, then gathering only the surviving rows — and a
+    memory-mapped projection of :meth:`QuerySpec.referenced_columns`
+    filtered through a row mask.  All strategies produce identical
     partials.
     """
-    partition = store.open_partition(day) if colstore.enabled() else None
-    if partition is not None and _sidecar_answerable(spec):
+    partition = store.open_partition(day)
+    if _sidecar_answerable(spec):
         return _scan_sidecar(partition, day, spec)
-    prefiltered = False
-    if partition is not None:
-        strategy, _ = _partition_strategy(partition, spec)
-        if strategy == "bitmap":
-            columns = _materialize_columns(spec)
-            table, bytes_read = partition.load_filtered(
-                spec.where, columns
-            )
-            mode = "bitmap"
-            prefiltered = True
-            obs.counter("query.bitmap-scans").inc()
-        else:
-            columns = spec.referenced_columns()
-            table, bytes_read = partition.load(columns)
-            mode = "mmap"
+    strategy, _ = _partition_strategy(partition, spec)
+    rows_scanned = partition.rows
+    if strategy == "bitmap":
+        columns = _materialize_columns(spec)
+        table, bytes_read = partition.load_filtered(spec.where, columns)
+        mode = "bitmap"
+        obs.counter("query.bitmap-scans").inc()
     else:
-        table = store.read_day(day)
-        columns = tuple(COLUMNS)
-        bytes_read = sum(
-            int(table.column(name).nbytes) for name in columns
-        )
-        mode = "full"
-    if prefiltered:
-        rows_scanned = partition.rows
-    else:
-        rows_scanned = len(table)
-        mask = _predicate_mask(table, spec) if spec.where else None
-        if mask is not None:
-            table = table.filter(mask)
+        columns = spec.referenced_columns()
+        table, bytes_read = partition.load(columns)
+        mode = "mmap"
+        if spec.where:
+            table = table.filter(_predicate_mask(table, spec))
     rows_matched = len(table)
 
     def _stats() -> ScanStats:

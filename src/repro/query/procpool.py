@@ -6,7 +6,7 @@ Python-level work that serializes across threads.  This module runs
 whole *shards* — contiguous runs of day partitions from one vantage
 store — in a persistent pool of worker processes instead.  Each worker
 opens the store through a per-process verified cache
-(:func:`repro.flows.store.open_cached`), memory-maps v2 partitions
+(:func:`repro.flows.store.open_cached`), memory-maps partitions
 locally (fork + mmap = shared page cache, zero copy), scans every day
 in its shard with the same :func:`repro.query.engine.scan_partition`
 the serial path uses, and folds the per-day partials with the same

@@ -266,8 +266,8 @@ class QuerySpec:
         for hour bucketing, and each aggregate's input column — with
         derived keys (``service_port``, ``transport``) expanded into
         the base columns they are computed from.  This is the
-        projection the columnar store pushes down: a v2 partition scan
-        loads (and checksums) exactly these segments.  The tuple can be
+        projection the columnar store pushes down: a plain partition scan
+        decodes (and checksums) exactly these columns.  The tuple can be
         empty — a pure row count reads no column data at all.
         """
         names = set(self.group_by)

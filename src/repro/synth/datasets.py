@@ -411,16 +411,19 @@ class DatasetCache:
         the caller regenerates and rewrites in place.
         """
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                if _TOKEN_KEY not in archive.files:
-                    return None
-                if str(archive[_TOKEN_KEY][()]) != token:
-                    return None
-                arrays = {
-                    name: archive[name]
-                    for name in archive.files
-                    if name != _TOKEN_KEY
-                }
+            # np.load leaves a path it opened itself unclosed when the
+            # archive fails to parse; an outer handle closes on every path.
+            with open(path, "rb") as handle:
+                with np.load(handle, allow_pickle=False) as archive:
+                    if _TOKEN_KEY not in archive.files:
+                        return None
+                    if str(archive[_TOKEN_KEY][()]) != token:
+                        return None
+                    arrays = {
+                        name: archive[name]
+                        for name in archive.files
+                        if name != _TOKEN_KEY
+                    }
             return _rebuild_from_arrays(kind, arrays)
         except (OSError, ValueError, KeyError, EOFError,
                 zipfile.BadZipFile):

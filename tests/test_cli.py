@@ -1,13 +1,18 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.obs as obs
 from repro import cli
 from repro.flows.io import read_csv, read_npz
-from repro.pipeline import ExperimentResult
+from repro.experiments import ExperimentResult
 
 
 @pytest.fixture(autouse=True)
@@ -233,67 +238,6 @@ class TestQueryServe:
         assert code == 2
 
 
-class TestStoreMigrate:
-    @pytest.fixture
-    def v1_store_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COLSTORE", "1")
-        root = tmp_path / "ixp-se"
-        code = cli.main(
-            [
-                "generate", "--vantage", "ixp-se",
-                "--start", "2020-02-19", "--end", "2020-02-21",
-                "--fidelity", "0.2", "--store", str(root),
-            ]
-        )
-        assert code == 0
-        monkeypatch.delenv("REPRO_NO_COLSTORE")
-        return root
-
-    def test_migrate_reports_inventory(self, v1_store_dir, capsys):
-        from repro.flows.store import FORMAT_V3, FlowStore
-
-        capsys.readouterr()
-        assert cli.main(["store", "migrate", str(v1_store_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 3 partition(s) to v3" in out
-        assert "v3: 3" in out
-        assert FlowStore(v1_store_dir).format_counts() == {FORMAT_V3: 3}
-
-    def test_migrate_is_idempotent(self, v1_store_dir, capsys):
-        cli.main(["store", "migrate", str(v1_store_dir)])
-        capsys.readouterr()
-        assert cli.main(["store", "migrate", str(v1_store_dir)]) == 0
-        assert "migrated 0 partition(s)" in capsys.readouterr().out
-
-    def test_migrate_round_trip_preserves_queries(
-        self, v1_store_dir, capsys
-    ):
-        def run_query():
-            capsys.readouterr()
-            code = cli.main(
-                [
-                    "query", "--store", str(v1_store_dir),
-                    "--start", "2020-02-19", "--end", "2020-02-21",
-                    "--group-by", "transport", "--agg", "bytes,flows",
-                    "--json",
-                ]
-            )
-            assert code == 0
-            return json.loads(capsys.readouterr().out)["rows"]
-
-        before = run_query()
-        cli.main(["store", "migrate", str(v1_store_dir), "--to", "v2"])
-        assert run_query() == before
-        cli.main(["store", "migrate", str(v1_store_dir), "--to", "v1"])
-        assert run_query() == before
-
-    def test_migrate_rejects_unknown_format(self, v1_store_dir):
-        with pytest.raises(SystemExit):
-            cli.main(
-                ["store", "migrate", str(v1_store_dir), "--to", "v4"]
-            )
-
-
 class TestStoreStats:
     @pytest.fixture
     def v3_store_dir(self, tmp_path):
@@ -314,7 +258,7 @@ class TestStoreStats:
         capsys.readouterr()
         assert cli.main(["store", "stats", str(v3_store_dir)]) == 0
         out = capsys.readouterr().out
-        assert "v3: 3" in out
+        assert "(3 partitions)" in out
         for column in ("proto", "hour", "n_bytes", "total"):
             assert column in out
         assert "dict" in out and "delta" in out
@@ -325,7 +269,7 @@ class TestStoreStats:
             ["store", "stats", str(v3_store_dir), "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["partitions"] == {"v3": 3}
+        assert payload["partitions"] == 3
         assert payload["total_stored_nbytes"] < \
             payload["total_raw_nbytes"]
         proto = payload["columns"]["proto"]
@@ -333,12 +277,18 @@ class TestStoreStats:
         assert proto["max_cardinality"] >= 2
 
     def test_stats_on_v1_store(self, v3_store_dir, capsys):
-        cli.main(["store", "migrate", str(v3_store_dir), "--to", "v1"])
+        # A manifest from the retired v1 layout (entries without a
+        # "format") lists days no partition handle can open.
+        manifest_path = v3_store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest.values():
+            del entry["format"]
+        manifest_path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert cli.main(["store", "stats", str(v3_store_dir)]) == 0
         out = capsys.readouterr().out
-        assert "v1: 3" in out
-        assert "v1 archives only" in out
+        assert "(3 partitions)" in out
+        assert "no readable partitions" in out
 
 
 class TestQueryExplain:
@@ -607,3 +557,39 @@ class TestExitStatus:
         assert event["event"] == "experiment-failed"
         assert event["experiment"] == "table1"
         assert event["failed_checks"] == ["bad check"]
+
+
+class TestClosedPipe:
+    """Output to a reader that has already gone away."""
+
+    @pytest.fixture(scope="class")
+    def telemetry_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pipe") / "t.json"
+        assert cli.main(
+            ["run", "table1", "--fast", "--telemetry", str(path)]
+        ) == 0
+        obs.reset()
+        return path
+
+    @pytest.mark.parametrize("command", ["list", "telemetry"])
+    def test_closed_stdout_exits_without_traceback(
+        self, command, telemetry_path
+    ):
+        argv = [command] if command == "list" else \
+            [command, str(telemetry_path)]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.stderr.decode()
+        assert "Traceback" not in stderr, stderr
+        assert "BrokenPipeError" not in stderr, stderr
+        assert proc.returncode == 1

@@ -226,6 +226,13 @@ class TestDiskTier:
         assert healed.fetch(scenario, request_base) == reference
         assert healed.stats.disk_hits == 1
 
+    # ResourceWarning is silent by default; as an error it is raised
+    # from the leaked handle's finalizer, which pytest reports as an
+    # unraisable exception — the second filter turns that into a failure.
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
     def test_truncated_archive_is_a_miss(
         self, scenario, request_base, tmp_path
     ):

@@ -1,4 +1,4 @@
-"""The declarative experiment registry and the pipeline compat shim."""
+"""The declarative experiment registry."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from repro import experiments, pipeline
+from repro import experiments
 from repro.experiments import base as experiments_base
 from repro.experiments.base import REGISTRY, ExperimentSpec
 
@@ -63,6 +63,14 @@ class TestRegistryCompleteness:
     def test_resolve_specs_preserves_request_order(self):
         specs = experiments_base.resolve_specs(["table2", "fig03"])
         assert [spec.id for spec in specs] == ["table2", "fig03"]
+
+    def test_runner_signatures_keep_scenario_config_shape(self):
+        for spec in REGISTRY.values():
+            params = list(
+                inspect.signature(spec.runner).parameters.values()
+            )
+            assert params[0].name == "scenario"
+            assert params[1].name == "config"
 
 
 class TestDatasetDeclarations:
@@ -156,25 +164,3 @@ class TestExecutors:
     def test_run_experiment_runs_tables_without_scenario(self):
         result = experiments.run_experiment("table2")
         assert result.passed
-
-
-class TestPipelineShim:
-    def test_shim_reexports_runners_and_registry(self):
-        assert pipeline.EXPERIMENTS is experiments.EXPERIMENTS
-        assert pipeline.run_all is experiments.run_all
-        assert pipeline.run_experiment is experiments.run_experiment
-        for experiment_id in PAPER_IDS:
-            name = f"run_{experiment_id}"
-            assert getattr(pipeline, name) is getattr(experiments, name)
-
-    def test_shim_all_matches_attributes(self):
-        for name in pipeline.__all__:
-            assert hasattr(pipeline, name), name
-
-    def test_runner_signatures_keep_scenario_config_shape(self):
-        for spec in REGISTRY.values():
-            params = list(
-                inspect.signature(spec.runner).parameters.values()
-            )
-            assert params[0].name == "scenario"
-            assert params[1].name == "config"

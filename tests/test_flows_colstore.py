@@ -1,14 +1,16 @@
-"""Tests for the v2 columnar partition format and its query paths.
+"""Tests for the columnar partition layout and its query paths.
 
-Covers the ISSUE-5 acceptance surface: v1↔v2 migration round-trips,
-corruption drills that must degrade to :class:`FlowStoreError` naming
-the broken piece, mixed-format stores answering queries identically,
-projection pushdown with I/O accounting, zone-map data skipping,
-sidecar pre-aggregate serving, and bit-identity of the
-``REPRO_NO_COLSTORE`` full-load escape hatch.
+Covers the sidecar's role in every query: corruption drills that must
+degrade to :class:`FlowStoreError` naming the broken piece, projection
+pushdown with I/O accounting, zone-map data skipping (physical and
+derived keys, sidecars written before derived zones existed), and
+sidecar pre-aggregate serving.  Answers are checked against the
+in-memory reference (the ``reference_rows`` fixture).  Encodings,
+bitmap scans and the cost model live in ``test_flows_colstore_v3.py``.
 """
 
 import datetime as dt
+import json
 import shutil
 
 import numpy as np
@@ -17,13 +19,8 @@ import pytest
 import repro.obs as obs
 from repro import timebase
 from repro.flows import colstore
-from repro.flows.store import (
-    FORMAT_V1,
-    FORMAT_V2,
-    FlowStore,
-    FlowStoreError,
-)
-from repro.flows.table import COLUMNS
+from repro.flows.io import file_sha256
+from repro.flows.store import FlowStore, FlowStoreError
 from repro.query import QuerySpec, execute_query, plan_query
 
 START = dt.date(2020, 2, 19)
@@ -36,18 +33,9 @@ def week_flows(scenario):
 
 
 @pytest.fixture
-def v1_store(tmp_path, week_flows):
-    store = FlowStore(tmp_path / "v1")
-    store.write_range(week_flows, START, END,
-                      partition_format=FORMAT_V1)
-    return store
-
-
-@pytest.fixture
-def v2_store(tmp_path, week_flows):
-    store = FlowStore(tmp_path / "v2")
-    store.write_range(week_flows, START, END,
-                      partition_format=FORMAT_V2)
+def store(tmp_path, week_flows):
+    store = FlowStore(tmp_path / "store")
+    store.write_range(week_flows, START, END)
     return store
 
 
@@ -58,103 +46,26 @@ def _spec(**kwargs):
     return QuerySpec.build(**kwargs)
 
 
-#: A spread of query shapes covering every scan path: sidecar
-#: pre-aggregates, projected grouping, derived keys, predicates,
-#: sketches, and time buckets.
-PARITY_SPECS = (
-    dict(aggregates=["bytes", "flows"]),
-    dict(aggregates=["bytes", "flows"], bucket="hour"),
-    dict(aggregates=["bytes"], bucket="day"),
-    dict(group_by=["transport"], aggregates=["bytes", "packets"]),
-    dict(where={"proto": 17}, group_by=["service_port"],
-         aggregates=["bytes", "distinct_src_ips"]),
-    dict(where={"dst_port": {"min": 440, "max": 450}},
-         aggregates=["connections", "distinct_dst_ips"]),
-)
-
-
 class TestLayout:
-    def test_partition_is_directory_of_segments(self, v2_store):
-        day_dir = v2_store.root / START.isoformat()
-        assert day_dir.is_dir()
-        assert (day_dir / colstore.SIDECAR).is_file()
-        for name in COLUMNS:
-            assert (day_dir / f"{name}.npy").is_file()
-        assert v2_store.partition_format(START) == FORMAT_V2
-
-    def test_write_leaves_no_temp_artifacts(self, v2_store):
+    def test_write_leaves_no_temp_artifacts(self, store):
         leftovers = [
-            p for p in v2_store.root.iterdir()
-            if p.name.endswith((".tmp", ".old", ".tmp.npz"))
+            p for p in store.root.iterdir()
+            if p.name.endswith((".tmp", ".old"))
         ]
         assert leftovers == []
 
-    def test_sidecar_zone_map_bounds_hour(self, v2_store):
-        partition = v2_store.open_partition(START)
+    def test_sidecar_zone_map_bounds_hour(self, store):
+        partition = store.open_partition(START)
         day_start = timebase.hour_index(START, 0)
         lo, hi = partition.zone("hour")
         assert day_start <= lo <= hi < day_start + 24
 
-    def test_sidecar_preaggregates_are_exact(self, v2_store):
-        partition = v2_store.open_partition(START)
+    def test_sidecar_preaggregates_are_exact(self, store):
+        partition = store.open_partition(START)
         _, byte_bins, flow_bins = partition.hour_preaggregates()
-        day = v2_store.read_day(START)
+        day = store.read_day(START)
         assert int(flow_bins.sum()) == len(day)
         assert int(byte_bins.sum()) == day.total_bytes()
-
-    def test_read_day_round_trips(self, v1_store, v2_store):
-        for day in v1_store.days():
-            v1 = v1_store.read_day(day)
-            v2 = v2_store.read_day(day)
-            for name in COLUMNS:
-                assert np.array_equal(v1.column(name), v2.column(name))
-
-
-class TestMigration:
-    def test_v1_to_v2_round_trip_equality(self, v1_store):
-        before = {day: v1_store.read_day(day) for day in v1_store.days()}
-        migrated = v1_store.migrate(FORMAT_V2)
-        assert migrated == len(before)
-        assert v1_store.format_counts() == {FORMAT_V2: migrated}
-        for day, table in before.items():
-            after = v1_store.read_day(day)
-            assert len(after) == len(table)
-            for name in COLUMNS:
-                assert after.column(name).dtype == COLUMNS[name]
-                assert np.array_equal(
-                    after.column(name), table.column(name)
-                )
-
-    def test_migrate_is_idempotent(self, v1_store):
-        assert v1_store.migrate(FORMAT_V2) == 7
-        assert v1_store.migrate(FORMAT_V2) == 0
-
-    def test_migrate_removes_old_archives(self, v1_store):
-        v1_store.migrate(FORMAT_V2)
-        assert list(v1_store.root.glob("*.npz")) == []
-
-    def test_migrate_back_to_v1(self, v2_store):
-        before = {day: v2_store.read_day(day) for day in v2_store.days()}
-        assert v2_store.migrate(FORMAT_V1) == len(before)
-        assert v2_store.format_counts() == {FORMAT_V1: len(before)}
-        assert not (v2_store.root / START.isoformat()).exists()
-        for day, table in before.items():
-            after = v2_store.read_day(day)
-            for name in COLUMNS:
-                assert np.array_equal(
-                    after.column(name), table.column(name)
-                )
-
-    def test_migration_changes_state_token(self, v1_store):
-        before = v1_store.state_token()
-        v1_store.migrate(FORMAT_V2)
-        assert v1_store.state_token() != before
-
-    def test_manifest_survives_reopen(self, v1_store):
-        v1_store.migrate(FORMAT_V2)
-        reopened = FlowStore(v1_store.root)
-        assert reopened.format_counts() == {FORMAT_V2: 7}
-        assert reopened.state_token() == v1_store.state_token()
 
 
 class TestIntegrity:
@@ -163,101 +74,64 @@ class TestIntegrity:
         payload[len(payload) // 2] ^= 0xFF
         path.write_bytes(bytes(payload))
 
-    def test_corrupt_sidecar_raises(self, v2_store):
-        self._flip_byte(v2_store.root / "2020-02-20" / colstore.SIDECAR)
+    def test_corrupt_sidecar_raises(self, store):
+        self._flip_byte(store.root / "2020-02-20" / colstore.SIDECAR)
         with pytest.raises(FlowStoreError, match="sidecar.*corrupt"):
-            v2_store.read_day(dt.date(2020, 2, 20))
+            store.read_day(dt.date(2020, 2, 20))
 
-    def test_missing_column_segment_names_column(self, v2_store):
-        (v2_store.root / "2020-02-20" / "src_ip.npy").unlink()
-        with pytest.raises(
-            FlowStoreError, match="column 'src_ip'.*missing"
-        ):
-            v2_store.read_day(dt.date(2020, 2, 20))
-
-    def test_corrupt_column_segment_names_column(self, v2_store):
-        self._flip_byte(v2_store.root / "2020-02-20" / "n_bytes.npy")
-        with pytest.raises(
-            FlowStoreError, match="column 'n_bytes'.*corrupt"
-        ):
-            v2_store.read_day(dt.date(2020, 2, 20))
-
-    def test_missing_partition_directory_raises(self, v2_store):
-        shutil.rmtree(v2_store.root / "2020-02-20")
-        with pytest.raises(FlowStoreError, match="missing"):
-            v2_store.read_day(dt.date(2020, 2, 20))
-
-    def test_projected_query_skips_unread_corruption(self, v2_store):
-        # Corruption in a column the query never touches is invisible
-        # to a projected scan — per-column checksums are the point.
-        self._flip_byte(v2_store.root / "2020-02-20" / "dst_asn.npy")
-        result = execute_query(
-            v2_store, _spec(group_by=["proto"], aggregates=["bytes"])
+    def test_missing_column_segment_names_column(self, store):
+        # Cut segments.bin just before the last column part: that
+        # column's bytes are gone, and the error must say which column.
+        day_dir = store.root / "2020-02-20"
+        sidecar = json.loads((day_dir / colstore.SIDECAR).read_text())
+        name, offset = max(
+            (
+                (column, part["offset"])
+                for column, meta in sidecar["columns"].items()
+                for part in meta["parts"].values()
+            ),
+            key=lambda item: item[1],
         )
-        assert result.n_failed == 0
-        # A full-column read of the same day still catches it.
-        with pytest.raises(FlowStoreError, match="dst_asn"):
-            v2_store.read_day(dt.date(2020, 2, 20))
+        data = day_dir / colstore.DATA_FILE
+        data.write_bytes(data.read_bytes()[:offset])
+        with pytest.raises(
+            FlowStoreError, match=f"column '{name}'.*past the end"
+        ):
+            store.read_day(dt.date(2020, 2, 20))
 
-    def test_corrupt_partition_is_query_failure_not_crash(self, v2_store):
-        self._flip_byte(v2_store.root / "2020-02-20" / colstore.SIDECAR)
+    def test_missing_partition_directory_raises(self, store):
+        shutil.rmtree(store.root / "2020-02-20")
+        with pytest.raises(FlowStoreError, match="missing"):
+            store.read_day(dt.date(2020, 2, 20))
+
+    def test_corrupt_partition_is_query_failure_not_crash(self, store):
+        self._flip_byte(store.root / "2020-02-20" / colstore.SIDECAR)
         result = execute_query(
-            v2_store, _spec(group_by=["proto"], aggregates=["bytes"])
+            store, _spec(group_by=["proto"], aggregates=["bytes"])
         )
         assert result.n_failed == 1
         assert result.partitions_failed[0].day == "2020-02-20"
         assert result.partitions_scanned == 6
 
-    def test_verified_cache_skips_rehashing(self, v2_store):
+    def test_verified_cache_skips_rehashing(self, store):
         colstore.reset_verified_cache()
         obs.configure(telemetry=True)
         try:
             execute_query(
-                v2_store, _spec(group_by=["proto"], aggregates=["bytes"])
+                store, _spec(group_by=["proto"], aggregates=["bytes"])
             )
             first = obs.get_registry().snapshot()["counters"]
             execute_query(
-                v2_store,
+                store,
                 _spec(group_by=["proto"], aggregates=["packets"]),
             )
             second = obs.get_registry().snapshot()["counters"]
         finally:
             obs.reset()
-        # Second query re-verifies the shared proto segments from the
+        # Second query re-verifies the shared proto parts from the
         # cache instead of re-hashing them.
         assert second.get("colstore.verify-cached", 0) > \
             first.get("colstore.verify-cached", 0)
-
-
-class TestMixedStores:
-    @pytest.fixture
-    def mixed_store(self, tmp_path, week_flows):
-        store = FlowStore(tmp_path / "mixed")
-        hours = week_flows.column("hour")
-        for i, day in enumerate(timebase.iter_days(START, END)):
-            day_start = timebase.hour_index(day, 0)
-            mask = (hours >= day_start) & (hours < day_start + 24)
-            store.write_day(
-                day, week_flows.filter(mask),
-                partition_format=FORMAT_V1 if i % 2 else FORMAT_V2,
-            )
-        return store
-
-    def test_formats_interleave(self, mixed_store):
-        assert mixed_store.format_counts() == {FORMAT_V1: 3, FORMAT_V2: 4}
-
-    def test_mixed_store_answers_identically(
-        self, mixed_store, v1_store, v2_store
-    ):
-        for kwargs in PARITY_SPECS:
-            spec = _spec(**kwargs)
-            results = [
-                execute_query(s, spec)
-                for s in (mixed_store, v1_store, v2_store)
-            ]
-            assert results[0].rows == results[1].rows == results[2].rows
-            assert len({r.rows_scanned for r in results}) == 1
-            assert len({r.rows_matched for r in results}) == 1
 
 
 class TestProjection:
@@ -277,26 +151,32 @@ class TestProjection:
         spec = _spec(aggregates=["distinct_src_ips", "distinct_dst_ips"])
         assert spec.referenced_columns() == ("src_ip", "dst_ip")
 
-    def test_result_reports_projected_io(self, v1_store, v2_store):
+    def test_result_reports_projected_io(
+        self, store, week_flows, reference_rows
+    ):
         spec = _spec(group_by=["proto"], aggregates=["bytes"])
-        narrow = execute_query(v2_store, spec)
-        full = execute_query(v1_store, spec)
+        narrow = execute_query(store, spec)
+        projected = sum(
+            store.open_partition(day).column_nbytes(("proto", "n_bytes"))
+            for day in store.days()
+        )
+        whole = sum(store.partition_disk_bytes(day) for day in store.days())
         assert narrow.columns_loaded == ("n_bytes", "proto")
-        assert sorted(full.columns_loaded) == sorted(COLUMNS)
-        assert 0 < narrow.bytes_read < full.bytes_read
-        assert narrow.rows == full.rows
+        assert narrow.bytes_read == projected
+        assert 0 < narrow.bytes_read < whole
+        assert narrow.rows == reference_rows(week_flows, spec)
 
-    def test_bundle_guards_unprojected_columns(self, v2_store):
-        partition = v2_store.open_partition(START)
+    def test_bundle_guards_unprojected_columns(self, store):
+        partition = store.open_partition(START)
         bundle, nbytes = partition.load(("proto", "n_bytes"))
         assert nbytes == partition.column_nbytes(("proto", "n_bytes"))
         with pytest.raises(KeyError, match="not projected"):
             bundle.column("src_ip")
 
-    def test_bundle_derived_keys_match_table(self, v2_store):
-        partition = v2_store.open_partition(START)
+    def test_bundle_derived_keys_match_table(self, store):
+        partition = store.open_partition(START)
         bundle, _ = partition.load(("proto", "src_port", "dst_port"))
-        table = v2_store.read_day(START)
+        table = store.read_day(START)
         for key in ("service_port", "transport"):
             assert np.array_equal(
                 bundle.key_array(key), table.key_array(key)
@@ -304,70 +184,61 @@ class TestProjection:
 
 
 class TestZonePruning:
-    def test_impossible_predicate_prunes_every_partition(self, v2_store):
+    def test_impossible_predicate_prunes_every_partition(self, store):
         plan = plan_query(
-            v2_store,
+            store,
             _spec(where={"src_port": {"min": 100000, "max": 200000}}),
         )
         assert plan.days == ()
         assert plan.pruned_by_zone == 7
         assert plan.estimated_bytes == 0
 
-    def test_v1_partitions_have_no_zone_maps(self, v1_store):
-        plan = plan_query(
-            v1_store,
-            _spec(where={"src_port": {"min": 100000, "max": 200000}}),
-        )
-        assert plan.pruned_by_zone == 0
-        assert len(plan.days) == 7
-
-    def test_pruned_and_scanned_stores_agree(self, v1_store, v2_store):
+    def test_pruned_and_scanned_stores_agree(
+        self, store, week_flows, reference_rows
+    ):
         spec = _spec(where={"src_port": {"min": 100000, "max": 200000}})
-        assert execute_query(v2_store, spec).rows == \
-            execute_query(v1_store, spec).rows == []
+        assert execute_query(store, spec).rows == \
+            reference_rows(week_flows, spec) == []
 
-    def test_plan_estimates_projected_bytes(self, v1_store, v2_store):
+    def test_plan_estimates_projected_bytes(self, store):
         narrow_spec = _spec(group_by=["proto"], aggregates=["bytes"])
         wide_spec = _spec(
             group_by=["proto"],
             aggregates=["bytes", "packets", "distinct_src_ips",
                         "distinct_dst_ips"],
         )
-        narrow = plan_query(v2_store, narrow_spec)
+        narrow = plan_query(store, narrow_spec)
         assert narrow.columns == ("proto", "n_bytes")
-        # Within each format, a narrower projection costs fewer bytes:
-        # v2 counts only the projected segments, and v1 archive bytes
-        # are scaled by the projected-column fraction.
-        for store in (v1_store, v2_store):
-            narrow_est = plan_query(store, narrow_spec).estimated_bytes
-            wide_est = plan_query(store, wide_spec).estimated_bytes
-            assert 0 < narrow_est < wide_est
+        # A narrower projection costs fewer bytes: the estimate counts
+        # only the projected columns' encoded parts.
+        wide = plan_query(store, wide_spec)
+        assert 0 < narrow.estimated_bytes < wide.estimated_bytes
 
 
 class TestZoneBoundaries:
-    def test_predicate_at_exact_zone_edge_stays_planned(self, v2_store):
+    def test_predicate_at_exact_zone_edge_stays_planned(self, store):
         # A point predicate sitting exactly on the zone's lower edge
         # (value == lo, and == hi when the day holds a single value)
         # must keep the day planned — pruning is strictly "disjoint".
-        partition = v2_store.open_partition(START)
+        partition = store.open_partition(START)
         lo, hi = partition.zone("src_port")
         plan = plan_query(
-            v2_store, _spec(where={"src_port": {"min": lo, "max": lo}},
-                            start=START, end=START),
+            store, _spec(where={"src_port": {"min": lo, "max": lo}},
+                         start=START, end=START),
         )
         assert plan.days == (START,)
         assert plan.pruned_by_zone == 0
         hi_plan = plan_query(
-            v2_store, _spec(where={"src_port": {"min": hi, "max": hi}},
-                            start=START, end=START),
+            store, _spec(where={"src_port": {"min": hi, "max": hi}},
+                         start=START, end=START),
         )
         assert hi_plan.days == (START,)
 
-    def test_predicate_one_past_zone_edge_prunes(self, v2_store):
-        partition = v2_store.open_partition(START)
+    def test_predicate_one_past_zone_edge_prunes(self, store):
+        partition = store.open_partition(START)
         _, hi = partition.zone("src_port")
         plan = plan_query(
-            v2_store,
+            store,
             _spec(where={"src_port": {"min": hi + 1, "max": hi + 10}},
                   start=START, end=START),
         )
@@ -378,7 +249,7 @@ class TestZoneBoundaries:
                                                  week_flows):
         store = FlowStore(tmp_path / "holes")
         empty = week_flows.filter(np.zeros(len(week_flows), dtype=bool))
-        store.write_day(START, empty, partition_format=FORMAT_V2)
+        store.write_day(START, empty)
         plan = plan_query(store, _spec(aggregates=["bytes", "flows"]))
         assert plan.pruned_empty == 1
         assert plan.days == ()
@@ -387,29 +258,28 @@ class TestZoneBoundaries:
         assert result.rows_scanned == 0
 
     def test_all_days_pruned_matches_unpruned_store(
-        self, v1_store, v2_store
+        self, store, week_flows, reference_rows
     ):
-        # v1 cannot prune (no sidecars) and scans every row; v2 prunes
-        # all seven days. Both must produce the identical empty result.
+        # The store prunes all seven days without reading a row; the
+        # in-memory reference scans every row.  Both must be empty.
         spec = _spec(where={"src_port": {"min": 100000, "max": 200000}},
                      group_by=["proto"], aggregates=["bytes"])
-        pruned = execute_query(v2_store, spec)
-        scanned = execute_query(v1_store, spec)
-        assert pruned.rows == scanned.rows == []
-        assert pruned.rows_matched == scanned.rows_matched == 0
+        pruned = execute_query(store, spec)
+        assert pruned.rows == reference_rows(week_flows, spec) == []
+        assert pruned.rows_matched == 0
         assert pruned.bytes_read == 0
 
 
 class TestDerivedZones:
-    def test_sidecar_records_derived_zones(self, v2_store):
-        partition = v2_store.open_partition(START)
+    def test_sidecar_records_derived_zones(self, store):
+        partition = store.open_partition(START)
         for key in ("service_port", "transport"):
             zone = partition.zone(key)
             assert zone is not None
             lo, hi = zone
             assert 0 <= lo <= hi
 
-    def test_impossible_derived_predicate_prunes(self, v2_store):
+    def test_impossible_derived_predicate_prunes(self, store):
         # service ports live below 65536; transport keys encode
         # proto*65536 + service_port, so a band above every generated
         # protocol is impossible and zone-prunes each day.
@@ -417,31 +287,26 @@ class TestDerivedZones:
             {"service_port": {"min": 100000, "max": 200000}},
             {"transport": {"min": 300 * 65536, "max": 400 * 65536}},
         ):
-            plan = plan_query(v2_store, _spec(where=where))
+            plan = plan_query(store, _spec(where=where))
             assert plan.pruned_by_zone == 7, where
             assert plan.days == ()
 
-    def test_old_sidecars_without_derived_zones_stay_planned(
-        self, v2_store
-    ):
-        # Pre-ISSUE-10 sidecars lack the derived_zones block; the day
-        # must stay planned (and the scan still answers correctly).
-        import json
-        from repro.flows.io import file_sha256
-
+    def test_old_sidecars_without_derived_zones_stay_planned(self, store):
+        # Sidecars sealed before derived zones existed lack the
+        # derived_zones block; the day must stay planned (and the scan
+        # still answers correctly).
         spec = _spec(where={"service_port": {"min": 100000,
                                              "max": 200000}})
-        for day in v2_store.days():
-            day_dir = v2_store.root / day.isoformat()
-            path = day_dir / colstore.SIDECAR
+        manifest_path = store.root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for day in store.days():
+            path = store.root / day.isoformat() / colstore.SIDECAR
             sidecar = json.loads(path.read_text())
             sidecar.pop("derived_zones", None)
             path.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-            manifest_path = v2_store.root / "manifest.json"
-            manifest = json.loads(manifest_path.read_text())
             manifest[day.isoformat()]["sha256"] = file_sha256(path)
-            manifest_path.write_text(json.dumps(manifest))
-        legacy = FlowStore(v2_store.root)
+        manifest_path.write_text(json.dumps(manifest))
+        legacy = FlowStore(store.root)
         assert legacy.open_partition(START).zone("service_port") is None
         plan = plan_query(legacy, spec)
         assert plan.pruned_by_zone == 0
@@ -450,69 +315,36 @@ class TestDerivedZones:
 
 
 class TestSidecarFastPath:
-    def test_unfiltered_totals_without_row_io(self, v2_store, week_flows):
-        result = execute_query(v2_store, _spec(aggregates=["bytes", "flows"]))
+    def test_unfiltered_totals_without_row_io(self, store, week_flows):
+        result = execute_query(store, _spec(aggregates=["bytes", "flows"]))
         assert result.rows[0]["bytes"] == week_flows.total_bytes()
         assert result.rows[0]["flows"] == len(week_flows)
         assert result.bytes_read == 0
         assert result.columns_loaded == ()
         assert result.rows_scanned == len(week_flows)
 
-    def test_plan_marks_sidecar_days(self, v2_store):
-        plan = plan_query(v2_store, _spec(aggregates=["bytes", "flows"]))
+    def test_plan_marks_sidecar_days(self, store):
+        plan = plan_query(store, _spec(aggregates=["bytes", "flows"]))
         assert plan.sidecar_days == 7
         assert plan.estimated_bytes == 0
 
-    def test_hourly_series_matches_row_scan(self, v1_store, v2_store):
+    def test_hourly_series_matches_row_scan(
+        self, store, week_flows, reference_rows
+    ):
         spec = _spec(aggregates=["bytes", "flows"], bucket="hour")
-        assert execute_query(v2_store, spec).rows == \
-            execute_query(v1_store, spec).rows
+        assert execute_query(store, spec).rows == \
+            reference_rows(week_flows, spec)
 
-    def test_hour_window_matches_row_scan(self, v1_store, v2_store):
+    def test_hour_window_matches_row_scan(
+        self, store, week_flows, reference_rows
+    ):
         day_start = timebase.hour_index(dt.date(2020, 2, 21), 0)
         spec = _spec(
             where={"hour": {"min": day_start + 6, "max": day_start + 17}},
             aggregates=["bytes", "flows"], bucket="hour",
         )
-        v2 = execute_query(v2_store, spec)
-        v1 = execute_query(v1_store, spec)
-        assert v2.rows == v1.rows
-        assert v2.rows_matched == v1.rows_matched
-        assert v2.bytes_read == 0
-
-
-class TestModeEquivalence:
-    def test_full_load_escape_hatch_bit_identical(
-        self, v2_store, monkeypatch
-    ):
-        for kwargs in PARITY_SPECS:
-            spec = _spec(**kwargs)
-            with monkeypatch.context() as patch:
-                patch.delenv(colstore.DISABLE_ENV, raising=False)
-                default = execute_query(v2_store, spec).to_dict()
-            with monkeypatch.context() as patch:
-                patch.setenv(colstore.DISABLE_ENV, "1")
-                forced = execute_query(v2_store, spec).to_dict()
-            for payload in (default, forced):
-                # I/O strategy diagnostics legitimately differ (the
-                # plan projects different columns and the stage walls
-                # are timings); every other field must be bit-identical.
-                for volatile in ("wall_s", "bytes_read", "columns_loaded",
-                                 "stages", "plan"):
-                    payload.pop(volatile)
-            assert default == forced
-
-    def test_disabled_env_writes_v1(self, tmp_path, week_flows, monkeypatch):
-        monkeypatch.setenv(colstore.DISABLE_ENV, "1")
-        store = FlowStore(tmp_path / "legacy")
-        store.write_range(week_flows, START, START)
-        assert store.partition_format(START) == FORMAT_V1
-        assert (store.root / f"{START.isoformat()}.npz").is_file()
-
-    def test_explicit_format_overrides_env(
-        self, tmp_path, week_flows, monkeypatch
-    ):
-        monkeypatch.setenv(colstore.DISABLE_ENV, "1")
-        store = FlowStore(tmp_path / "pinned", default_format=FORMAT_V2)
-        store.write_range(week_flows, START, START)
-        assert store.partition_format(START) == FORMAT_V2
+        result = execute_query(store, spec)
+        reference = reference_rows(week_flows, spec)
+        assert result.rows == reference
+        assert result.rows_matched == sum(row["flows"] for row in reference)
+        assert result.bytes_read == 0

@@ -1,11 +1,10 @@
 """Tests for the v3 columnar format and its predicate-first scan path.
 
-Covers the ISSUE-10 acceptance surface: per-column encodings chosen at
-seal time, bitmap indexes evaluated before row materialization, the
-cost-based bitmap-vs-scan planner, v1↔v2↔v3 migration round-trips,
-unknown-encoding degradation to the raw fallback, corruption drills on
-individual ``segments.bin`` parts, ``REPRO_NO_COLSTORE_V3`` escape-hatch
-parity, and process-pool scans over pickled v3 handles.
+Covers per-column encodings chosen at seal time, bitmap indexes
+evaluated before row materialization, the cost-based bitmap-vs-scan
+planner, unknown-encoding degradation to the raw fallback, corruption
+drills on individual ``segments.bin`` parts, rejection of partitions in
+any other format, and process-pool scans over pickled handles.
 """
 
 import datetime as dt
@@ -17,13 +16,9 @@ import pytest
 import repro.obs as obs
 from repro.flows import colstore, encodings
 from repro.flows.io import file_sha256
-from repro.flows.store import (
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
-    FlowStore,
-    FlowStoreError,
-)
+from repro import timebase
+from repro.flows.io import write_npz
+from repro.flows.store import FORMAT_V3, FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS
 from repro.query import QuerySpec, execute_query, plan_query
 from repro.query.procpool import ScanPool
@@ -39,18 +34,9 @@ def week_flows(scenario):
 
 
 @pytest.fixture
-def v2_store(tmp_path, week_flows):
-    store = FlowStore(tmp_path / "v2")
-    store.write_range(week_flows, START, END,
-                      partition_format=FORMAT_V2)
-    return store
-
-
-@pytest.fixture
 def v3_store(tmp_path, week_flows):
     store = FlowStore(tmp_path / "v3")
-    store.write_range(week_flows, START, END,
-                      partition_format=FORMAT_V3)
+    store.write_range(week_flows, START, END)
     return store
 
 
@@ -59,26 +45,6 @@ def _spec(**kwargs):
     kwargs.setdefault("start", START)
     kwargs.setdefault("end", END)
     return QuerySpec.build(**kwargs)
-
-
-#: Query shapes spanning every v3 strategy: sidecar pre-aggregates,
-#: plain projected scans, bitmap equality/membership, dict-range
-#: compares, derived keys, and predicates on unindexed columns.
-PARITY_SPECS = (
-    dict(aggregates=["bytes", "flows"]),
-    dict(aggregates=["bytes", "flows"], bucket="hour"),
-    dict(group_by=["proto"], aggregates=["bytes", "packets"]),
-    dict(where={"proto": 17}, group_by=["service_port"],
-         aggregates=["bytes"]),
-    dict(where={"proto": [6, 17]}, aggregates=["bytes", "flows"],
-         bucket="day"),
-    dict(where={"transport": 2}, aggregates=["bytes",
-                                             "distinct_src_ips"]),
-    dict(where={"dst_port": {"min": 440, "max": 450}},
-         aggregates=["connections", "distinct_dst_ips"]),
-    dict(where={"proto": 17, "dst_port": {"min": 0, "max": 1024}},
-         group_by=["service_port"], aggregates=["bytes", "packets"]),
-)
 
 
 def _rewrite_sidecar(store, day, mutate):
@@ -100,8 +66,9 @@ class TestLayout:
         day_dir = v3_store.root / START.isoformat()
         names = sorted(p.name for p in day_dir.iterdir())
         assert names == sorted([colstore.SIDECAR, colstore.DATA_FILE])
-        assert v3_store.partition_format(START) == FORMAT_V3
-        assert v3_store.open_partition(START).format == FORMAT_V3
+        manifest = json.loads((v3_store.root / "manifest.json").read_text())
+        assert manifest[START.isoformat()]["format"] == FORMAT_V3
+        assert v3_store.open_partition(START).sidecar["format"] == FORMAT_V3
 
     def test_parts_are_aligned_and_hashed(self, v3_store):
         sidecar = v3_store.open_partition(START).sidecar
@@ -129,10 +96,13 @@ class TestLayout:
         for name, column in stats.items():
             assert 0 < column["stored_nbytes"] <= column["raw_nbytes"]
 
-    def test_partition_compresses_versus_v2(self, v3_store, v2_store):
-        v3_bytes = v3_store.partition_disk_bytes(START)
-        v2_bytes = v2_store.partition_disk_bytes(START)
-        assert 0 < v3_bytes < v2_bytes
+    def test_partition_compresses_versus_raw(self, v3_store):
+        stored = v3_store.partition_disk_bytes(START)
+        raw = sum(
+            column["raw_nbytes"] for column in
+            v3_store.open_partition(START).encoding_stats().values()
+        )
+        assert 0 < stored < raw
 
     def test_column_stats_aggregate(self, v3_store):
         stats = v3_store.column_stats()
@@ -142,80 +112,26 @@ class TestLayout:
             stats["proto"]["raw_nbytes"]
         assert stats["proto"]["max_cardinality"] >= 2
 
-    def test_read_day_round_trips(self, v2_store, v3_store):
+    def test_read_day_round_trips(self, v3_store, week_flows):
         for day in v3_store.days():
-            v2 = v2_store.read_day(day)
+            start = timebase.hour_index(day, 0)
+            written = week_flows.between_hours(start, start + 24)
             v3 = v3_store.read_day(day)
             for name in COLUMNS:
                 assert v3.column(name).dtype == COLUMNS[name]
-                assert np.array_equal(v2.column(name), v3.column(name))
+                assert np.array_equal(written.column(name), v3.column(name))
 
     def test_empty_partition_round_trips(self, tmp_path, week_flows):
         store = FlowStore(tmp_path / "empty3")
         empty = week_flows.filter(
             np.zeros(len(week_flows), dtype=bool)
         )
-        store.write_day(START, empty, partition_format=FORMAT_V3)
+        store.write_day(START, empty)
         assert len(store.read_day(START)) == 0
         partition = store.open_partition(START)
         assert partition.rows == 0
         bundle, _ = partition.load(("proto", "n_bytes"))
         assert len(bundle) == 0
-
-
-class TestMigration:
-    def test_v1_v2_v3_v1_round_trip(self, tmp_path, week_flows):
-        store = FlowStore(tmp_path / "mig")
-        store.write_range(week_flows, START, END,
-                          partition_format=FORMAT_V1)
-        before = {day: store.read_day(day) for day in store.days()}
-        v1_token = store.state_token()
-        tokens = [v1_token]
-        for target in (FORMAT_V2, FORMAT_V3, FORMAT_V1):
-            assert store.migrate(target) == len(before)
-            assert store.format_counts() == {target: len(before)}
-            tokens.append(store.state_token())
-            for day, table in before.items():
-                after = store.read_day(day)
-                assert len(after) == len(table)
-                for name in COLUMNS:
-                    assert np.array_equal(
-                        after.column(name), table.column(name)
-                    )
-        # Each format change moves the cache token, and the round trip
-        # back to v1 restores bit-identical archives — same token.
-        assert len(set(tokens[:3])) == 3
-        assert tokens[-1] == v1_token
-
-    def test_migrate_v3_is_idempotent(self, v2_store):
-        assert v2_store.migrate(FORMAT_V3) == 7
-        assert v2_store.migrate(FORMAT_V3) == 0
-
-    def test_v3_dir_replaces_v2_segments(self, v2_store):
-        v2_store.migrate(FORMAT_V3)
-        day_dir = v2_store.root / START.isoformat()
-        assert (day_dir / colstore.DATA_FILE).is_file()
-        assert list(day_dir.glob("*.npy")) == []
-
-    def test_mixed_formats_answer_identically(self, tmp_path, week_flows,
-                                              v3_store):
-        from repro import timebase
-        store = FlowStore(tmp_path / "mixed")
-        hours = week_flows.column("hour")
-        formats = (FORMAT_V1, FORMAT_V2, FORMAT_V3)
-        for i, day in enumerate(timebase.iter_days(START, END)):
-            day_start = timebase.hour_index(day, 0)
-            mask = (hours >= day_start) & (hours < day_start + 24)
-            store.write_day(day, week_flows.filter(mask),
-                            partition_format=formats[i % 3])
-        assert store.format_counts() == \
-            {FORMAT_V1: 3, FORMAT_V2: 2, FORMAT_V3: 2}
-        for kwargs in PARITY_SPECS:
-            spec = _spec(**kwargs)
-            mixed = execute_query(store, spec)
-            pure = execute_query(v3_store, spec)
-            assert mixed.rows == pure.rows
-            assert mixed.rows_matched == pure.rows_matched
 
 
 class TestPlanner:
@@ -241,13 +157,6 @@ class TestPlanner:
         assert plan.strategy_counts() == {"sidecar": 7}
         assert plan.estimated_bytes == 0
 
-    def test_v2_partitions_never_plan_bitmap(self, v2_store):
-        plan = plan_query(
-            v2_store,
-            _spec(where={"proto": 17}, aggregates=["bytes"]),
-        )
-        assert plan.strategy_counts().get("bitmap", 0) == 0
-
     def test_bitmap_estimate_below_scan_estimate(self, v3_store):
         filtered = _spec(where={"proto": 17},
                          group_by=["service_port"],
@@ -257,29 +166,25 @@ class TestPlanner:
         assert 0 < plan_query(v3_store, filtered).estimated_bytes < \
             plan_query(v3_store, unfiltered).estimated_bytes
 
-    def test_escape_hatch_disables_bitmap_planning(
-        self, v3_store, monkeypatch
-    ):
-        spec = _spec(where={"proto": 17}, aggregates=["bytes"])
-        monkeypatch.setenv(colstore.DISABLE_V3_ENV, "1")
-        plan = plan_query(v3_store, spec)
-        assert plan.strategy_counts().get("bitmap", 0) == 0
-        assert len(plan.days) >= 1
-
 
 class TestBitmapScan:
-    def test_filtered_scan_reads_fewer_bytes_than_v2(
-        self, v3_store, v2_store
+    def test_filtered_scan_reads_fewer_bytes_than_plain_scan(
+        self, v3_store, week_flows, reference_rows
     ):
-        # The ISSUE-10 acceptance claim: the same narrow filtered query
-        # touches fewer bytes on v3 (encoded parts + gathered rows)
-        # than on v2 (full raw segments of every projected column).
+        # The predicate-first scan (encoded predicate parts + gathered
+        # rows) touches fewer bytes than a plain scan of every
+        # referenced column would.
         spec = _spec(where={"proto": 17}, group_by=["service_port"],
                      aggregates=["bytes"])
-        v3 = execute_query(v3_store, spec)
-        v2 = execute_query(v2_store, spec)
-        assert v3.rows == v2.rows
-        assert 0 < v3.bytes_read < v2.bytes_read
+        result = execute_query(v3_store, spec)
+        plain = sum(
+            v3_store.open_partition(day).column_nbytes(
+                spec.referenced_columns()
+            )
+            for day in plan_query(v3_store, spec).days
+        )
+        assert result.rows == reference_rows(week_flows, spec)
+        assert 0 < result.bytes_read < plain
 
     def test_bitmap_counters_fire(self, v3_store):
         obs.configure(telemetry=True)
@@ -324,63 +229,73 @@ class TestBitmapScan:
             bundle.column("n_bytes"), table.column("n_bytes")[mask]
         )
 
-    def test_derived_key_predicate_parity(self, v3_store, v2_store):
+    def test_derived_key_predicate_parity(
+        self, v3_store, week_flows, reference_rows
+    ):
         spec = _spec(where={"transport": 2},
                      group_by=["service_port"], aggregates=["bytes"])
         assert execute_query(v3_store, spec).rows == \
-            execute_query(v2_store, spec).rows
-
-    def test_rejects_non_v3_partition(self, v2_store):
-        partition = v2_store.open_partition(START)
-        spec = _spec(where={"proto": 17}, aggregates=["bytes"])
-        with pytest.raises(FlowStoreError, match="not a v3"):
-            partition.load_filtered(spec.where, ("n_bytes",))
+            reference_rows(week_flows, spec)
 
 
-class TestModeEquivalence:
-    def test_v3_escape_hatch_bit_identical(self, tmp_path, week_flows,
-                                           monkeypatch):
-        monkeypatch.setenv(colstore.DISABLE_V3_ENV, "1")
-        hatch = FlowStore(tmp_path / "hatch")
-        hatch.write_range(week_flows, START, END)
-        assert hatch.format_counts() == {FORMAT_V2: 7}
-        monkeypatch.delenv(colstore.DISABLE_V3_ENV)
-        default = FlowStore(tmp_path / "default")
-        default.write_range(week_flows, START, END)
-        assert default.format_counts() == {FORMAT_V3: 7}
-        for kwargs in PARITY_SPECS:
-            spec = _spec(**kwargs)
-            with monkeypatch.context() as patch:
-                patch.setenv(colstore.DISABLE_V3_ENV, "1")
-                forced = execute_query(hatch, spec).to_dict()
-            v3 = execute_query(default, spec).to_dict()
-            for payload in (forced, v3):
-                for volatile in ("wall_s", "bytes_read", "columns_loaded",
-                                 "stages", "plan"):
-                    payload.pop(volatile)
-            assert forced == v3
+class TestForeignFormats:
+    """Manifest entries or sidecars in a format other than v3."""
 
-    def test_v3_store_readable_under_escape_hatch(
-        self, v3_store, monkeypatch
+    def _rewrite_manifest_entry(self, store, mutate):
+        manifest_path = store.root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        mutate(manifest[MID.isoformat()])
+        manifest_path.write_text(json.dumps(manifest))
+        return FlowStore(store.root)
+
+    def _as_v1(self, store):
+        # How a v1 day was stored: one .npz archive beside the manifest,
+        # an entry without a "format" field.
+        archive = store.root / f"{MID.isoformat()}.npz"
+        write_npz(store.read_day(MID), archive)
+
+        def mutate(entry):
+            del entry["format"]
+            entry["sha256"] = file_sha256(archive)
+
+        return self._rewrite_manifest_entry(store, mutate)
+
+    def _as_v2(self, store):
+        def mutate(entry):
+            entry["format"] = 2
+
+        return self._rewrite_manifest_entry(store, mutate)
+
+    @pytest.mark.parametrize("fmt, named", [
+        ("v1", r"v1 \(\.npz archive\)"),
+        ("v2", "v2"),
+    ], ids=["v1", "v2"])
+    def test_foreign_partition_is_query_failure(
+        self, v3_store, fmt, named
     ):
-        # The env var steers *new* writes and the bitmap planner; a
-        # store already sealed as v3 must stay fully readable.
-        spec = _spec(where={"proto": 17}, group_by=["service_port"],
-                     aggregates=["bytes"])
-        default = execute_query(v3_store, spec)
-        monkeypatch.setenv(colstore.DISABLE_V3_ENV, "1")
-        hatched = execute_query(v3_store, spec)
-        assert default.rows == hatched.rows
-        assert default.rows_matched == hatched.rows_matched
+        store = getattr(self, f"_as_{fmt}")(v3_store)
+        with pytest.raises(
+            FlowStoreError, match=f"format {named}.*regenerate"
+        ):
+            store.open_partition(MID)
+        spec = _spec(where={"proto": 17}, aggregates=["bytes"])
+        plan = plan_query(store, spec)
+        assert MID in plan.days
+        result = execute_query(store, spec)
+        assert [f.day for f in result.partitions_failed] == \
+            [MID.isoformat()]
+        assert f"format {fmt}" in result.partitions_failed[0].error
+        assert result.partitions_scanned == len(plan.days) - 1
 
-    def test_mode_token_three_way(self, monkeypatch):
-        monkeypatch.delenv(colstore.DISABLE_ENV, raising=False)
-        monkeypatch.delenv(colstore.DISABLE_V3_ENV, raising=False)
-        assert colstore.mode_token() == "colstore-v3"
-        monkeypatch.setenv(colstore.DISABLE_V3_ENV, "1")
-        assert colstore.mode_token() == "colstore"
-        monkeypatch.setenv(colstore.DISABLE_ENV, "1")
-        assert colstore.mode_token() == "full-load"
+    def test_foreign_sidecar_is_rejected(self, v3_store):
+        def mutate(sidecar):
+            sidecar["format"] = 2
+
+        store = _rewrite_sidecar(v3_store, MID, mutate)
+        with pytest.raises(
+            FlowStoreError, match="sidecar.*format v2.*regenerate"
+        ):
+            store.read_day(MID)
 
 
 class TestIntegrity:

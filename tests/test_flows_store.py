@@ -7,13 +7,8 @@ import pytest
 
 from repro import timebase
 from repro.core.streaming import StreamingAggregator
-from repro.flows.store import (
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
-    FlowStore,
-    FlowStoreError,
-)
+from repro.flows import colstore
+from repro.flows.store import FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS, FlowTable
 
 
@@ -170,31 +165,16 @@ class TestManifest:
             for name in COLUMNS:
                 assert np.array_equal(got.column(name), want.column(name))
 
-    def test_migrate_commits_manifest_once(
-        self, tmp_path, three_day_flows, manifest_saves
-    ):
-        store = FlowStore(tmp_path / "store", default_format=FORMAT_V1)
-        store.write_range(
-            three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
-        )
-        manifest_saves.clear()
-        assert store.migrate(FORMAT_V3) == 3
-        assert manifest_saves == [store.root]
-        reopened = FlowStore(tmp_path / "store")
-        assert reopened.format_counts() == {FORMAT_V3: 3}
-        assert reopened.state_token() == store.state_token()
-        assert reopened.total_flows() == len(three_day_flows)
-
     def test_failed_range_commits_days_sealed_before_the_error(
         self, tmp_path, three_day_flows, monkeypatch
     ):
         store = FlowStore(tmp_path / "store")
         original = FlowStore.write_day
 
-        def failing_write_day(self, day, flows, partition_format=None):
+        def failing_write_day(self, day, flows):
             if day == dt.date(2020, 2, 21):
                 raise OSError("disk full")
-            original(self, day, flows, partition_format)
+            original(self, day, flows)
 
         monkeypatch.setattr(FlowStore, "write_day", failing_write_day)
         with pytest.raises(OSError):
@@ -245,7 +225,7 @@ class TestRangeEdgeCases:
         store.write_day(day, day_flows.head(7))
         assert store.read_day(day) == day_flows.head(7)
         assert store.state_token() != before
-        assert list(store.root.glob("*.tmp.npz")) == []
+        assert list(store.root.glob("*.tmp")) == []
 
     def test_day_flows_tracks_manifest(self, store, three_day_flows):
         day = dt.date(2020, 2, 19)
@@ -258,13 +238,13 @@ class TestRangeEdgeCases:
             store.day_flows(dt.date(2020, 1, 1))
 
 
-def per_day_masked_writes(store, flows, start_day, end_day, fmt=None):
+def per_day_masked_writes(store, flows, start_day, end_day):
     """The masked per-day ``write_day`` loop ``write_range`` replaced."""
     hours = flows.column("hour")
     for day in timebase.iter_days(start_day, end_day):
         day_start = timebase.hour_index(day, 0)
         mask = (hours >= day_start) & (hours < day_start + 24)
-        store.write_day(day, flows.filter(mask), partition_format=fmt)
+        store.write_day(day, flows.filter(mask))
 
 
 def tree_bytes(root):
@@ -296,37 +276,38 @@ class TestWriteRangeSlices:
                            self.END + dt.timedelta(days=1)),
         }
 
-    @pytest.mark.parametrize("fmt", [None, FORMAT_V2])
     @pytest.mark.parametrize(
         "case", ["hour-sorted", "shuffled", "out-of-range", "empty-days"])
     def test_files_and_manifest_byte_identical(
-            self, tmp_path, three_day_flows, case, fmt):
+            self, tmp_path, three_day_flows, case):
         flows, start, end = self.inputs(three_day_flows)[case]
         sliced = FlowStore(tmp_path / "sliced")
-        written = sliced.write_range(flows, start, end, partition_format=fmt)
+        written = sliced.write_range(flows, start, end)
         masked = FlowStore(tmp_path / "masked")
-        per_day_masked_writes(masked, flows, start, end, fmt)
+        per_day_masked_writes(masked, flows, start, end)
         assert written == (end - start).days + 1
         assert tree_bytes(sliced.root) == tree_bytes(masked.root)
         assert sliced.state_token() == masked.state_token()
 
 
 class TestIntegrity:
-    # These drills corrupt v1 .npz archives directly; the equivalent
-    # v2 sidecar/segment drills live in test_flows_colstore.py.
+    # Whole-file drills on a partition's data file and sidecar; the
+    # per-part drills live in test_flows_colstore_v3.py.
     @pytest.fixture
     def populated(self, store, three_day_flows):
         store.write_range(three_day_flows, dt.date(2020, 2, 19),
-                          dt.date(2020, 2, 21),
-                          partition_format=FORMAT_V1)
+                          dt.date(2020, 2, 21))
         return store
+
+    def _data_file(self, store):
+        return store.root / "2020-02-20" / colstore.DATA_FILE
 
     def test_manifest_records_checksums(self, populated):
         for entry in populated._manifest.values():
             assert len(entry["sha256"]) == 64
 
     def test_corrupt_partition_raises_flow_store_error(self, populated):
-        victim = populated.root / "2020-02-20.npz"
+        victim = self._data_file(populated)
         payload = bytearray(victim.read_bytes())
         payload[len(payload) // 2] ^= 0xFF
         victim.write_bytes(bytes(payload))
@@ -334,25 +315,26 @@ class TestIntegrity:
             populated.read_day(dt.date(2020, 2, 20))
 
     def test_truncated_partition_raises_flow_store_error(self, populated):
-        victim = populated.root / "2020-02-20.npz"
+        victim = self._data_file(populated)
         victim.write_bytes(victim.read_bytes()[:100])
         with pytest.raises(FlowStoreError, match="corrupt"):
             populated.read_day(dt.date(2020, 2, 20))
 
     def test_missing_partition_file_raises(self, populated):
-        (populated.root / "2020-02-20.npz").unlink()
+        self._data_file(populated).unlink()
         with pytest.raises(FlowStoreError, match="missing"):
             populated.read_day(dt.date(2020, 2, 20))
 
     def test_unverifiable_archive_without_checksum_raises(
         self, populated
     ):
-        # Legacy manifests have no checksum; a broken archive must
+        # A manifest entry may carry no checksum; a broken sidecar must
         # still surface as FlowStoreError (from the parse), not as a
-        # zipfile internal error.
+        # json internal error.
         del populated._manifest["2020-02-20"]["sha256"]
-        (populated.root / "2020-02-20.npz").write_bytes(b"not a zip")
-        with pytest.raises(FlowStoreError, match="cannot be read"):
+        sidecar = populated.root / "2020-02-20" / colstore.SIDECAR
+        sidecar.write_bytes(b"not json")
+        with pytest.raises(FlowStoreError, match="cannot be parsed"):
             populated.read_day(dt.date(2020, 2, 20))
 
     def test_state_token_stable_across_reopen(self, populated):
