@@ -20,7 +20,8 @@ import repro.obs as obs
 from repro import timebase
 from repro.flows import colstore
 from repro.flows.io import file_sha256
-from repro.flows.store import FlowStore, FlowStoreError
+from repro.flows.store import FORMAT_V3, FlowStore, FlowStoreError
+from repro.flows.table import COLUMNS
 from repro.query import QuerySpec, execute_query, plan_query
 
 START = dt.date(2020, 2, 19)
@@ -47,6 +48,20 @@ def _spec(**kwargs):
 
 
 class TestLayout:
+    def test_partition_is_directory_of_segments(self, store):
+        # Each day is a directory: the sidecar plus one segments file
+        # holding every column's parts.
+        day_dir = store.root / START.isoformat()
+        assert day_dir.is_dir()
+        assert (day_dir / colstore.SIDECAR).is_file()
+        blob_size = (day_dir / colstore.DATA_FILE).stat().st_size
+        sidecar = store.open_partition(START).sidecar
+        assert set(sidecar["columns"]) == set(COLUMNS)
+        for meta in sidecar["columns"].values():
+            for part in meta["parts"].values():
+                assert part["offset"] + part["nbytes"] <= blob_size
+        assert sidecar["format"] == FORMAT_V3
+
     def test_write_leaves_no_temp_artifacts(self, store):
         leftovers = [
             p for p in store.root.iterdir()
@@ -67,6 +82,21 @@ class TestLayout:
         assert int(flow_bins.sum()) == len(day)
         assert int(byte_bins.sum()) == day.total_bytes()
 
+    def test_read_day_round_trips(self, store, week_flows):
+        # Reading every day back yields the written rows, no more and
+        # no fewer, with the schema's dtypes.
+        total = 0
+        for day in store.days():
+            start = timebase.hour_index(day, 0)
+            written = week_flows.between_hours(start, start + 24)
+            read = store.read_day(day)
+            assert len(read) == len(written)
+            for name in COLUMNS:
+                assert read.column(name).dtype == COLUMNS[name]
+                assert np.array_equal(read.column(name), written.column(name))
+            total += len(read)
+        assert total == len(week_flows)
+
 
 class TestIntegrity:
     def _flip_byte(self, path):
@@ -77,6 +107,21 @@ class TestIntegrity:
     def test_corrupt_sidecar_raises(self, store):
         self._flip_byte(store.root / "2020-02-20" / colstore.SIDECAR)
         with pytest.raises(FlowStoreError, match="sidecar.*corrupt"):
+            store.read_day(dt.date(2020, 2, 20))
+
+    def _flip_column_part(self, store, day, column):
+        sidecar = store.open_partition(day).sidecar
+        part = next(iter(sidecar["columns"][column]["parts"].values()))
+        path = store.root / day.isoformat() / colstore.DATA_FILE
+        payload = bytearray(path.read_bytes())
+        payload[part["offset"] + part["nbytes"] // 2] ^= 0xFF
+        path.write_bytes(bytes(payload))
+
+    def test_corrupt_column_segment_names_column(self, store):
+        self._flip_column_part(store, dt.date(2020, 2, 20), "n_packets")
+        with pytest.raises(
+            FlowStoreError, match="column 'n_packets'.*corrupt"
+        ):
             store.read_day(dt.date(2020, 2, 20))
 
     def test_missing_column_segment_names_column(self, store):
@@ -102,6 +147,18 @@ class TestIntegrity:
     def test_missing_partition_directory_raises(self, store):
         shutil.rmtree(store.root / "2020-02-20")
         with pytest.raises(FlowStoreError, match="missing"):
+            store.read_day(dt.date(2020, 2, 20))
+
+    def test_projected_query_skips_unread_corruption(self, store):
+        # Corruption in a column the query never touches is invisible
+        # to a projected scan: per-part checksums are the point.
+        self._flip_column_part(store, dt.date(2020, 2, 20), "src_ip")
+        result = execute_query(
+            store, _spec(group_by=["dst_port"], aggregates=["packets"])
+        )
+        assert result.n_failed == 0
+        # A full-column read of the same day still catches it.
+        with pytest.raises(FlowStoreError, match="src_ip"):
             store.read_day(dt.date(2020, 2, 20))
 
     def test_corrupt_partition_is_query_failure_not_crash(self, store):
